@@ -1,6 +1,6 @@
 package hypertree_test
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
+// Ablation benchmarks for the library's main design choices: the
 // size and cost of the BIP subedge closure versus the full closure f⁺,
 // exact versus greedy integral covers in the Theorem 6.23 approximation,
 // LP-based support reduction on or off, and the effect of the

@@ -1,11 +1,11 @@
 package hypertree_test
 
-// One benchmark per experiment of DESIGN.md's per-experiment index
-// (E1–E14). Each bench regenerates the series its paper artifact
-// predicts — cover numbers, widths, witness validations, approximation
-// qualities — and reports the relevant scalar as a custom metric where
-// meaningful, so `go test -bench=.` reproduces the paper-vs-measured
-// tables of EXPERIMENTS.md.
+// One benchmark per experiment of the E1–E14 suite (the experiment
+// table in cmd/hgbench/main.go). Each bench regenerates the series its
+// paper artifact predicts — cover numbers, widths, witness validations,
+// approximation qualities — and reports the relevant scalar as a custom
+// metric where meaningful, so `go test -bench=.` reproduces the
+// paper-vs-measured series that `hgbench` prints.
 
 import (
 	"fmt"

@@ -1,8 +1,8 @@
 // Command hgbench regenerates every table- and figure-shaped artifact of
-// the paper as the experiment suite E1–E14 documented in DESIGN.md and
-// EXPERIMENTS.md. Each experiment prints the series the paper's
-// construction, lemma or theorem predicts next to the value measured by
-// this library.
+// the paper as the experiment suite E1–E14 (the experiments table in
+// main lists each one with its paper artifact). Each experiment prints
+// the series the paper's construction, lemma or theorem predicts next
+// to the value measured by this library.
 //
 // Usage:
 //

@@ -28,15 +28,19 @@
 // parts with trimmed witness bags. Those warm starts run on
 // internal/lp's incremental engine (lp.WarmProblem): alongside the
 // one-shot two-phase simplex (lp.Problem.Solve), a ≤-form maximization
-// can keep its factored basis alive across AddRow/RetireRow/
-// SetObjective edits and re-solve with a few dual-simplex pivots,
-// falling back to a cold start when the basis goes stale;
-// cover.Incremental and cover.TargetLP wrap it for the two covering-LP
-// access patterns the oracles produce. The
-// hypergraph core underneath is incidence-indexed: per-vertex edge
-// bitsets back edges(C), [C]-components and single-edge cover
-// detection; memo keys are interned integers; the exact-width DP and
-// the rational LP keep big.Rat arithmetic out of their inner loops.
+// can keep its tableau alive across AddRow/RetireRow/SetObjective edits
+// and re-solve with a few dual-simplex pivots, falling back to a cold
+// start when the basis goes stale; cover.Incremental and cover.TargetLP
+// wrap it for the two covering-LP access patterns the oracles produce.
+// Both LP entry points share one exact kernel: a fraction-free integer
+// tableau (int64 entries over a common denominator, Bareiss pivots,
+// big.Int only for entries that would overflow) whose Bland's-rule
+// pivots match the rational simplex it replaced; rationals appear only
+// when a result is read, and a done channel stops a solve at the next
+// pivot. The hypergraph core underneath is incidence-indexed: per-vertex
+// edge bitsets back edges(C), [C]-components and single-edge cover
+// detection; memo keys are interned integers; the exact-width DP keeps
+// big.Rat arithmetic out of its inner loop.
 // PERFORMANCE.md documents the design and the measured speedups.
 //
 // On top of the algorithms, internal/solve is the serving layer: a

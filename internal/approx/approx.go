@@ -308,6 +308,7 @@ func (b *builder) price(integral bool, st *Stats) (*decomp.Decomp, error) {
 	var tl *cover.TargetLP
 	if !integral {
 		tl = cover.NewTargetLP(b.h, b.h.Vertices())
+		tl.SetDone(b.ctx.Done()) // a canceled solve prices nothing; the loop then returns ctx.Err()
 		defer func() { st.Warm = tl.Stats() }()
 	}
 	for i := range b.nodes {

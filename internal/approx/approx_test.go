@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	. "hypertree/internal/approx"
 	"hypertree/internal/core"
@@ -274,6 +275,26 @@ func TestLogNCanceled(t *testing.T) {
 	}
 	if _, _, err := Improve(ctx, hypergraph.Grid(3, 3), trivialDecomp(t, hypergraph.Grid(3, 3)), ImproveOptions{}); err != context.Canceled {
 		t.Fatalf("improve: got %v, want context.Canceled", err)
+	}
+}
+
+// TestLogNDeadlineStopsLP: fractional pricing of a 200-vertex instance
+// runs cover LPs of hundreds of pivots; each LP polls the context per
+// pivot, so LogN returns within 100ms of its deadline wherever the
+// deadline lands (the later ones land inside pricing).
+func TestLogNDeadlineStopsLP(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	hypergraph.RandomBIP(rng, 30, 40, 4, 2)
+	hypergraph.RandomBoundedDegree(rng, 40, 50, 4, 3)
+	h := hypergraph.RandomBoundedDegree(rng, 200, 250, 4, 3)
+	for _, dl := range []time.Duration{50 * time.Millisecond, 400 * time.Millisecond, 800 * time.Millisecond} {
+		ctx, cancel := context.WithTimeout(context.Background(), dl)
+		start := time.Now()
+		_, _, err := LogN(ctx, h, Options{})
+		if el := time.Since(start); el > dl+100*time.Millisecond {
+			t.Errorf("LogN returned after %v under a %v deadline (err %v)", el, dl, err)
+		}
+		cancel()
 	}
 }
 

@@ -63,6 +63,7 @@ func Improve(ctx context.Context, h *hypergraph.Hypergraph, d *decomp.Decomp, op
 	var tl *cover.TargetLP
 	if !opt.Integral {
 		tl = cover.NewTargetLP(h, h.Vertices())
+		tl.SetDone(ctx.Done()) // a canceled solve improves nothing; the passes then stop
 		defer func() { st.Warm = tl.Stats() }()
 	}
 	imp := &improver{h: h, opt: opt, tl: tl, st: st}

@@ -269,15 +269,17 @@ func RepairWeakSCVs(d *decomp.Decomp) (*decomp.Decomp, *Augmented, error) {
 		// Case 2: replace e in γu by e' = e ∩ Bu.
 		sub := aug.H.Edge(e).Intersect(out.Nodes[u].Bag)
 		id := findOrAddSubedge(aug, sub)
-		w := out.Nodes[u].Cover[e]
+		// Weights are shared between clones (cover.Fractional.Clone):
+		// build the sum afresh instead of adding in place.
+		sum := new(big.Rat).Set(out.Nodes[u].Cover[e])
 		delete(out.Nodes[u].Cover, e)
-		if out.Nodes[u].Cover[id] == nil {
-			out.Nodes[u].Cover[id] = new(big.Rat)
+		if old := out.Nodes[u].Cover[id]; old != nil {
+			sum.Add(sum, old)
 		}
-		out.Nodes[u].Cover[id].Add(out.Nodes[u].Cover[id], w)
-		if out.Nodes[u].Cover[id].Cmp(one) > 0 {
-			out.Nodes[u].Cover[id] = lp.RI(1)
+		if sum.Cmp(one) > 0 {
+			sum.SetInt64(1)
 		}
+		out.Nodes[u].Cover[id] = sum
 	}
 }
 

@@ -176,6 +176,7 @@ func (o *fhdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 	// each holds its own solver and stashes it back on exit.
 	inc := o.basis.Get(cd.scope)
 	defer o.basis.Put(cd.scope, inc)
+	inc.SetDone(e.done)
 
 	var rec func(start int) bool
 	rec = func(start int) bool {
@@ -333,7 +334,7 @@ func (o *fhdOracle) check(e *engine, inc *cover.Incremental, c, w hypergraph.Ver
 	if !w.IsSubsetOf(o.b) || !o.b.Intersects(c) {
 		return false
 	}
-	gamma := o.coverWithin(inc, chosen)
+	gamma := o.coverWithin(e, inc, chosen)
 	if gamma == nil {
 		return false
 	}
@@ -367,7 +368,7 @@ func (o *fhdOracle) check(e *engine, inc *cover.Incremental, c, w hypergraph.Ver
 // 5.22), nil otherwise. On a memo miss the borrowed incremental solver
 // — whose row stack already mirrors chosen — re-solves from the sibling
 // guess's optimal basis.
-func (o *fhdOracle) coverWithin(inc *cover.Incremental, chosen []fhdAtom) map[int]*big.Rat {
+func (o *fhdOracle) coverWithin(e *engine, inc *cover.Incremental, chosen []fhdAtom) map[int]*big.Rat {
 	o.cset = o.cset.Reset()
 	for _, a := range chosen {
 		o.cset.Add(a.id)
@@ -377,7 +378,11 @@ func (o *fhdOracle) coverWithin(inc *cover.Incremental, chosen []fhdAtom) map[in
 		return o.lpMemo[sid]
 	}
 	var gamma map[int]*big.Rat
-	if wgt := inc.Solve(); wgt != nil && wgt.Cmp(o.k) <= 0 {
+	wgt := inc.Solve()
+	if wgt == nil && e.done != nil {
+		pollCancel(e.done) // a canceled LP is no verdict: unwind, never memoize it
+	}
+	if wgt != nil && wgt.Cmp(o.k) <= 0 {
 		gamma = map[int]*big.Rat{}
 		for i, a := range chosen {
 			if d := inc.Dual(i); d.Sign() > 0 {
@@ -436,7 +441,7 @@ func checkFHD(h *hypergraph.Hypergraph, k *big.Rat, opt FHDOptions, done <-chan 
 	// The lazy f⁺ generation tripped its cap (or refused a subset
 	// enumeration): fall back to the eager, capped h_{d,k} closure of
 	// Lemma 5.17, as the eager pipeline did.
-	subs, herr := HdkSubedges(h, d, ratCeil(k), 0, max)
+	subs, herr := hdkSubedges(h, d, ratCeil(k), 0, max, done)
 	if herr != nil {
 		return nil, herr
 	}

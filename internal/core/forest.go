@@ -190,7 +190,19 @@ func (f *IntersectionForest) MaxDepth() int {
 // This is the price of the paper's generality — for the tiny inputs the
 // Check(FHD,k) tests use, the closure stays small.
 func HdkSubedges(h *hypergraph.Hypergraph, d, k, maxUnion, maxSets int) ([]hypergraph.VertexSet, error) {
+	return hdkSubedges(h, d, k, maxUnion, maxSets, nil)
+}
+
+// hdkSubedges is HdkSubedges with an optional cancellation channel,
+// polled every pollMask+1 steps of both enumerations (see cancel.go).
+func hdkSubedges(h *hypergraph.Hypergraph, d, k, maxUnion, maxSets int, done <-chan struct{}) ([]hypergraph.VertexSet, error) {
 	const maxUnionHard = 4
+	var steps uint32
+	poll := func() {
+		if steps++; done != nil && steps&pollMask == 0 {
+			pollCancel(done)
+		}
+	}
 	if maxUnion <= 0 {
 		maxUnion = 1 << uint(d*d*k)
 		if maxUnion > maxUnionHard || maxUnion <= 0 {
@@ -202,6 +214,7 @@ func HdkSubedges(h *hypergraph.Hypergraph, d, k, maxUnion, maxSets int) ([]hyper
 	seen := map[string]bool{}
 	var rec func(start, depth int, cur hypergraph.VertexSet)
 	rec = func(start, depth int, cur hypergraph.VertexSet) {
+		poll()
 		if cur != nil && !cur.IsEmpty() {
 			if key := cur.Key(); !seen[key] {
 				seen[key] = true
@@ -239,6 +252,7 @@ func HdkSubedges(h *hypergraph.Hypergraph, d, k, maxUnion, maxSets int) ([]hyper
 	}
 	var unions func(start, depth int, cur hypergraph.VertexSet) error
 	unions = func(start, depth int, cur hypergraph.VertexSet) error {
+		poll()
 		if cur != nil {
 			for e := 0; e < h.NumEdges(); e++ {
 				if err := addOut(h.Edge(e).Intersect(cur)); err != nil {

@@ -70,14 +70,25 @@ func (f Fractional) IsIntegral() bool {
 	return true
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy of the map. Weights are never modified in place
+// once stored in a Fractional — code replaces a weight instead — so the
+// copy shares them, and every weight 1, the common case, becomes one
+// shared value: witnesses kept in result caches then hold no rational
+// of their own for an integral cover.
 func (f Fractional) Clone() Fractional {
 	c := make(Fractional, len(f))
 	for e, r := range f {
-		c[e] = new(big.Rat).Set(r)
+		if r.IsInt() && r.Num().IsInt64() && r.Num().Int64() == 1 {
+			r = sharedOne
+		}
+		c[e] = r
 	}
 	return c
 }
+
+// sharedOne is the weight 1 that clones share; it must never be
+// modified.
+var sharedOne = big.NewRat(1, 1)
 
 // SolveCoverLP computes the minimum-weight fractional cover of target by
 // the given edges: min Σ_j x_j subject to Σ_{j : v ∈ e_j} x_j ≥ 1 for all

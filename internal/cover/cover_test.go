@@ -199,3 +199,20 @@ func TestUncoverable(t *testing.T) {
 		t.Fatal("ρ must be -1 for uncoverable hypergraph")
 	}
 }
+
+// TestFractionalCloneSharesWeights: a clone is a new map over shared,
+// never-mutated weights, with every weight 1 collapsed onto one value,
+// and editing the clone's map leaves the original alone.
+func TestFractionalCloneSharesWeights(t *testing.T) {
+	half := lp.R(1, 2)
+	f := Fractional{0: lp.RI(1), 1: half, 2: lp.RI(1)}
+	c := f.Clone()
+	if c[1] != half || c[0] != c[2] || c[0].Cmp(lp.RI(1)) != 0 {
+		t.Fatalf("clone weights %v, want the half shared and one shared 1", c)
+	}
+	c[1] = lp.RI(1)
+	delete(c, 2)
+	if f[1] != half || len(f) != 3 {
+		t.Fatalf("editing the clone changed the original: %v", f)
+	}
+}

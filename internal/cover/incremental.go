@@ -75,6 +75,7 @@ func (ic *Incremental) Reset(scope hypergraph.VertexSet) {
 		ic.varOf[v] = j
 	}
 	ic.wp.Reset(len(ic.scope))
+	ic.wp.SetDone(nil)
 	ic.desired = ic.desired[:0]
 	ic.synced = ic.synced[:0]
 	ic.refs = ic.refs[:0]
@@ -115,7 +116,13 @@ func (ic *Incremental) Depth() int { return len(ic.desired) }
 // a cold start (see BasisCache).
 func (ic *Incremental) Retarget() {
 	ic.desired = ic.desired[:0]
+	ic.wp.SetDone(nil)
 }
+
+// SetDone makes later Solves poll done before every pivot and return
+// nil once it is closed. Reset and Retarget clear it, so a solver
+// borrowed from a BasisCache never inherits another run's channel.
+func (ic *Incremental) SetDone(done <-chan struct{}) { ic.wp.SetDone(done) }
 
 // ApproxBytes is a flat estimate of the memory ic retains, for cache
 // budgeting (see lp.WarmProblem.ApproxBytes).
@@ -189,10 +196,9 @@ func (ic *Incremental) sync() {
 }
 
 // Solve computes the minimum weight of a fractional cover of the union
-// of the stacked atoms by exactly those atoms. The returned weight is
-// owned by the solver (copy before the next call); Dual reads the
-// per-atom weights afterwards. Solve never fails on a non-empty stack:
-// the union is covered by giving every atom weight 1.
+// of the stacked atoms by exactly those atoms; Dual reads the per-atom
+// weights afterwards. Solve fails (nil) only when canceled through
+// SetDone: the union is covered by giving every atom weight 1.
 func (ic *Incremental) Solve() *big.Rat {
 	ic.sync()
 	st, err := ic.wp.Solve()
@@ -260,6 +266,7 @@ func (tl *TargetLP) Reset(h *hypergraph.Hypergraph, scope hypergraph.VertexSet) 
 		tl.varOf[v] = j
 	}
 	tl.wp.Reset(len(tl.scope))
+	tl.wp.SetDone(nil)
 	tl.target = tl.target.Reset()
 	tl.edgeRow = tl.edgeRow[:0]
 	for len(tl.edgeRow) < h.NumEdges() {
@@ -337,6 +344,10 @@ func (tl *TargetLP) Solve(ws hypergraph.VertexSet) (*big.Rat, Fractional) {
 	}
 	return tl.wp.Value(), g
 }
+
+// SetDone makes later Solves poll done before every pivot and return
+// (nil, nil) once it is closed; Reset clears it.
+func (tl *TargetLP) SetDone(done <-chan struct{}) { tl.wp.SetDone(done) }
 
 // Stats exposes the underlying engine counters.
 func (tl *TargetLP) Stats() lp.WarmStats { return tl.wp.Stats() }

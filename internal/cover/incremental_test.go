@@ -171,3 +171,40 @@ func TestTargetLPUncoverable(t *testing.T) {
 		t.Fatalf("ρ*({a,b}) = %v (%v), want 1 via e", w, g)
 	}
 }
+
+// TestSolveCanceledThroughDone: a closed done channel makes both
+// solvers give up at the first pivot, and Reset/Retarget drop the
+// channel so a recycled solver answers normally again.
+func TestSolveCanceledThroughDone(t *testing.T) {
+	h := hypergraph.Grid(3, 3)
+	want := RhoStar(h)
+	done := make(chan struct{})
+	close(done)
+
+	tl := NewTargetLP(h, h.Vertices())
+	tl.SetDone(done)
+	if w, g := tl.Solve(h.Vertices()); w != nil || g != nil {
+		t.Fatalf("canceled TargetLP solved: %v", w)
+	}
+	tl.Reset(h, h.Vertices())
+	if w, _ := tl.Solve(h.Vertices()); w == nil || w.Cmp(want) != 0 {
+		t.Fatalf("after Reset: ρ* = %v, want %v", w, want)
+	}
+
+	ic := NewIncremental(h.Vertices())
+	push := func() {
+		for e := 0; e < h.NumEdges(); e++ {
+			ic.Push(e, h.Edge(e))
+		}
+	}
+	push()
+	ic.SetDone(done)
+	if w := ic.Solve(); w != nil {
+		t.Fatalf("canceled Incremental solved: %v", w)
+	}
+	ic.Retarget()
+	push()
+	if w := ic.Solve(); w == nil || w.Cmp(want) != 0 {
+		t.Fatalf("after Retarget: weight %v, want %v", w, want)
+	}
+}

@@ -78,6 +78,12 @@ func Combine(h *hypergraph.Hypergraph, parts []Part) (*Decomp, error) {
 	}
 	n := h.NumVertices()
 	d := New(h)
+	total := 0
+	for _, p := range parts {
+		total += len(p.D.Nodes)
+	}
+	// Result caches retain the combined witness: size it exactly.
+	d.Nodes = make([]Node, 0, total)
 	support := hypergraph.NewVertexSet(n) // vertices in placed bags
 	placed := make([]bool, len(parts))
 	for remaining := len(parts); remaining > 0; remaining-- {

@@ -33,16 +33,17 @@ type Hypergraph struct {
 	vertexNames []string
 	vertexIndex map[string]int
 	edgeNames   []string
-	edgeIndex   map[string]int // first edge with each name (see EdgeIDByName)
+	edgeIndex   map[string]int // first edge with each name, built lazily (see EdgeIDByName)
 	edges       []VertexSet
 	inc         []EdgeSet   // per-vertex incidence index, built lazily (index.go)
 	incReady    atomic.Bool // publishes inc to concurrent readers
-	incMu       sync.Mutex  // serializes the lazy build
+	incMu       sync.Mutex  // serializes the lazy builds of inc and edgeIndex
+	nameReady   atomic.Bool // publishes edgeIndex to concurrent readers
 }
 
 // New returns an empty hypergraph.
 func New() *Hypergraph {
-	return &Hypergraph{vertexIndex: map[string]int{}, edgeIndex: map[string]int{}}
+	return &Hypergraph{vertexIndex: map[string]int{}}
 }
 
 // NumVertices returns the number of registered vertices |V(H)|.
@@ -57,6 +58,7 @@ func (h *Hypergraph) Vertex(name string) int {
 		return i
 	}
 	i := len(h.vertexNames)
+	name = strings.Clone(name) // never pin the caller's buffer (a parser's whole input)
 	h.vertexNames = append(h.vertexNames, name)
 	h.vertexIndex[name] = i
 	return i
@@ -96,13 +98,11 @@ func (h *Hypergraph) AddEdgeSet(name string, s VertexSet) int {
 	if name == "" {
 		name = fmt.Sprintf("e%d", len(h.edges)+1)
 	}
+	name = strings.Clone(name)
 	h.edgeNames = append(h.edgeNames, name)
 	h.edges = append(h.edges, s.Clone())
 	e := len(h.edges) - 1
-	if h.edgeIndex == nil {
-		h.edgeIndex = map[string]int{}
-	}
-	if _, ok := h.edgeIndex[name]; !ok {
+	if _, ok := h.edgeIndex[name]; !ok && h.edgeIndex != nil {
 		h.edgeIndex[name] = e
 	}
 	h.indexAddEdge(e, h.edges[e])
@@ -249,9 +249,6 @@ func (h *Hypergraph) Clone() *Hypergraph {
 		c.vertexIndex[n] = i
 	}
 	c.edgeNames = append([]string(nil), h.edgeNames...)
-	for n, i := range h.edgeIndex {
-		c.edgeIndex[n] = i
-	}
 	c.edges = make([]VertexSet, len(h.edges))
 	for i, s := range h.edges {
 		c.edges[i] = s.Clone()
@@ -289,6 +286,19 @@ func (h *Hypergraph) VertexNames(s VertexSet) []string {
 // several edges share a name (induced subhypergraphs reuse originator
 // names) the first is returned, matching the historical linear scan.
 func (h *Hypergraph) EdgeIDByName(name string) (int, bool) {
+	// Most hypergraphs are never searched by edge name, and a result
+	// cache keeps many of them alive: the map is built on first use.
+	if !h.nameReady.Load() {
+		h.incMu.Lock()
+		if h.edgeIndex == nil {
+			h.edgeIndex = make(map[string]int, len(h.edgeNames))
+			for e := len(h.edgeNames) - 1; e >= 0; e-- {
+				h.edgeIndex[h.edgeNames[e]] = e
+			}
+		}
+		h.nameReady.Store(true)
+		h.incMu.Unlock()
+	}
 	e, ok := h.edgeIndex[name]
 	if !ok {
 		return 0, false

@@ -79,3 +79,33 @@ func TestConcurrentInducedSub(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestConcurrentEdgeIDByName: the edge-name map is also built lazily on
+// first lookup; concurrent readers (run under -race) must all see the
+// first edge carrying each name, interleaved with incidence-index users.
+func TestConcurrentEdgeIDByName(t *testing.T) {
+	h := New()
+	h.AddEdge("a", "x", "y")
+	h.AddEdge("b", "y", "z")
+	h.AddEdge("a", "z", "w") // duplicate name: lookups return edge 0
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if e, ok := h.EdgeIDByName("a"); !ok || e != 0 {
+					t.Errorf("EdgeIDByName(a) = %d, %v; want 0, true", e, ok)
+				}
+				if e, ok := h.EdgeIDByName("b"); !ok || e != 1 {
+					t.Errorf("EdgeIDByName(b) = %d, %v; want 1, true", e, ok)
+				}
+				if _, ok := h.EdgeIDByName("c"); ok {
+					t.Error("EdgeIDByName(c) found a missing edge")
+				}
+				h.DegreeOf(1)
+			}
+		}()
+	}
+	wg.Wait()
+}

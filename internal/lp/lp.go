@@ -1,15 +1,13 @@
-// Package lp implements an exact linear-program solver over rational
-// numbers (math/big.Rat) using the two-phase simplex method with Bland's
-// anti-cycling pivot rule.
-//
-// The paper's algorithms repeatedly decide questions of the form
-// "does this vertex set have a fractional edge cover of weight ≤ k?"
-// (Section 2.2). Floating-point LP cannot decide such threshold questions
-// reliably — fhw(H) ≤ 2 versus fhw(H) > 2 is exactly the NP-hard boundary
-// of Theorem 3.2 — so this solver substitutes exact rational arithmetic
-// for the external LP solver a production system would wrap. Simplex with
-// Bland's rule always terminates; it is not worst-case polynomial, but the
-// covering LPs used here are small and benign.
+// Package lp is an exact linear-program solver: the two-phase simplex
+// method with Bland's anti-cycling rule. The paper's algorithms decide
+// questions like "does this vertex set have a fractional edge cover of
+// weight ≤ k?" (Section 2.2), and fhw(H) ≤ 2 versus > 2 is already the
+// NP-hard boundary of Theorem 3.2, so floating point will not do.
+// Coefficients come in as big.Rat and are scaled to integers; the
+// tableau (tableau.go) keeps int64 entries over one common denominator,
+// pivots fraction-free, and widens an entry to big.Int only when it
+// would overflow. Rationals are built only when a result is read.
+// Problem.Solve and the incremental WarmProblem share that kernel.
 package lp
 
 import (
@@ -66,6 +64,9 @@ type Problem struct {
 	Objective   []*big.Rat
 	Minimize    bool
 	Constraints []Constraint
+	// Done, when non-nil, is polled before every pivot; once it is
+	// closed Solve returns ErrCanceled.
+	Done <-chan struct{}
 }
 
 // Solution is the result of solving a problem.
@@ -74,12 +75,12 @@ type Solution struct {
 	Value  *big.Rat   // objective value; nil unless Optimal
 	X      []*big.Rat // variable assignment; nil unless Optimal
 	// RowDuals[i] is the reduced cost of row i's slack/surplus column at
-	// the optimum, or nil for EQ rows and rows whose RHS was negated
-	// during normalization. For a maximization in ≤-form with x ≥ 0 these
-	// are exact optimal duals of the corresponding minimization — the
-	// covering LPs read their primal covers off them (strong duality
-	// holds exactly over the rationals).
+	// the optimum, or nil for EQ rows and rows whose RHS was negated. For
+	// a ≤-form maximization these are exact optimal duals: the covering
+	// LPs read their primal covers off them.
 	RowDuals []*big.Rat
+
+	pivots, promotions int // kernel counters, for the differential tests
 }
 
 // NewProblem returns a minimization problem with n variables and zero
@@ -97,146 +98,37 @@ func (p *Problem) SetObjective(j int, c *big.Rat) {
 	p.Objective[j] = new(big.Rat).Set(c)
 }
 
-// AddConstraint appends a constraint. The coefficient slice is copied.
+// AddConstraint appends a constraint. The coefficient slice is copied;
+// nil coefficients stay nil (zero).
 func (p *Problem) AddConstraint(coef []*big.Rat, rel Rel, rhs *big.Rat) {
 	cc := make([]*big.Rat, len(coef))
 	for i, c := range coef {
-		if c == nil {
-			cc[i] = new(big.Rat)
-		} else {
+		if c != nil {
 			cc[i] = new(big.Rat).Set(c)
 		}
 	}
 	p.Constraints = append(p.Constraints, Constraint{Coef: cc, Rel: rel, RHS: new(big.Rat).Set(rhs)})
 }
 
-var errNoPivot = errors.New("lp: internal error: no pivot found")
-
-// tableau is a dense simplex tableau with an explicit basis. The scratch
-// rationals f, d and inv are reused across every pivot so the inner loops
-// allocate only when a value outgrows its previously seen precision —
-// big.Rat reuses its numerator/denominator storage in place.
-type tableau struct {
-	rows  [][]*big.Rat // m rows × (n+1) columns; last column is RHS
-	cost  []*big.Rat   // n+1 entries; reduced costs and (negated) objective
-	basis []int        // basis[i] = column basic in row i
-	n     int          // number of structural+slack+artificial columns
-
-	f, d, inv big.Rat // pivot scratch
-}
-
-// ratsZero returns n zero rationals backed by a single slab allocation
-// (the zero big.Rat value represents 0).
-func ratsZero(n int) []*big.Rat {
-	vals := make([]big.Rat, n)
-	r := make([]*big.Rat, n)
-	for i := range r {
-		r[i] = &vals[i]
-	}
-	return r
-}
-
-// pivot performs a pivot on (row, col). Zero cells of the pivot row are
-// skipped: the covering tableaus this solver sees are mostly 0/1, so the
-// skip saves the bulk of the rational arithmetic.
-func (t *tableau) pivot(row, col int) {
-	pr := t.rows[row]
-	t.inv.Inv(pr[col])
-	for j := 0; j <= t.n; j++ {
-		if pr[j].Sign() != 0 {
-			pr[j].Mul(pr[j], &t.inv)
-		}
-	}
-	for i := range t.rows {
-		if i == row {
-			continue
-		}
-		if t.rows[i][col].Sign() == 0 {
-			continue
-		}
-		// Copy the factor: cell (i,col) is itself updated mid-loop.
-		t.f.Set(t.rows[i][col])
-		ri := t.rows[i]
-		for j := 0; j <= t.n; j++ {
-			if pr[j].Sign() == 0 {
-				continue
-			}
-			t.d.Mul(&t.f, pr[j])
-			ri[j].Sub(ri[j], &t.d)
-		}
-	}
-	if t.cost[col].Sign() != 0 {
-		t.f.Set(t.cost[col])
-		for j := 0; j <= t.n; j++ {
-			if pr[j].Sign() == 0 {
-				continue
-			}
-			t.d.Mul(&t.f, pr[j])
-			t.cost[j].Sub(t.cost[j], &t.d)
-		}
-	}
-	t.basis[row] = col
-}
-
-// simplex runs the simplex loop with Bland's rule until optimality or
-// unboundedness. allowed limits the eligible entering columns.
-func (t *tableau) simplex(allowed int) (Status, error) {
-	var best, ratio big.Rat
-	for {
-		// Entering column: smallest index with negative reduced cost.
-		col := -1
-		for j := 0; j < allowed; j++ {
-			if t.cost[j].Sign() < 0 {
-				col = j
-				break
-			}
-		}
-		if col < 0 {
-			return Optimal, nil
-		}
-		// Leaving row: minimum ratio, ties by smallest basis index
-		// (Bland).
-		row := -1
-		for i := range t.rows {
-			a := t.rows[i][col]
-			if a.Sign() <= 0 {
-				continue
-			}
-			ratio.Quo(t.rows[i][t.n], a)
-			if row < 0 || ratio.Cmp(&best) < 0 ||
-				(ratio.Cmp(&best) == 0 && t.basis[i] < t.basis[row]) {
-				row = i
-				best.Set(&ratio)
-			}
-		}
-		if row < 0 {
-			return Unbounded, nil
-		}
-		t.pivot(row, col)
-	}
-}
-
 // Solve solves the problem exactly. It never mutates p.
 //
-// Rows in ≤-form with non-negative RHS start basic on their slack, so a
-// pure ≤-form problem carries no artificial variables and skips phase 1
-// entirely; only ≥/= rows (after sign normalization) get artificials.
+// Each row is scaled by the least common denominator of its entries;
+// its slack and artificial keep coefficient ±1, which rescales those
+// variables by the row factor. Bland's rule is invariant under positive
+// rescaling, so the pivots, X and Value are those of the unscaled
+// problem, a row dual is read back times its factor, and phase 1 weighs
+// each artificial by 1/factor. Only ≥/= rows (after sign normalization)
+// get artificials, so a pure ≤-form problem skips phase 1.
 func (p *Problem) Solve() (*Solution, error) {
 	m := len(p.Constraints)
-	// Column layout: structural vars | slack/surplus | artificial. The
-	// normalized relation per row decides slack and artificial needs.
+	// Column layout: structural vars | slack/surplus | artificial.
 	nStruct := p.NumVars
 	nSlack, nArt := 0, 0
 	rels := make([]Rel, m)
 	for i, c := range p.Constraints {
 		rel := c.Rel
-		if c.RHS != nil && c.RHS.Sign() < 0 {
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
+		if c.RHS.Sign() < 0 && rel != EQ {
+			rel = GE - rel // a negated RHS swaps ≤ and ≥
 		}
 		rels[i] = rel
 		if rel != EQ {
@@ -247,150 +139,109 @@ func (p *Problem) Solve() (*Solution, error) {
 		}
 	}
 	n := nStruct + nSlack + nArt
-	t := &tableau{n: n, basis: make([]int, m)}
-	t.rows = make([][]*big.Rat, m)
-	slack := nStruct
-	art := nStruct + nSlack
+	t := &tableau{done: p.Done}
+	t.reset(n)
+	slack, art := nStruct, nStruct+nSlack
 	slackCol := make([]int, m)
+	scales := make([]*big.Int, m)
+	var artScale *big.Int
 	for i, c := range p.Constraints {
-		row := ratsZero(n + 1)
-		rhs := new(big.Rat).Set(c.RHS)
-		sign := 1
-		if rhs.Sign() < 0 {
-			sign = -1
-			rhs.Neg(rhs)
-		}
-		for j := 0; j < nStruct && j < len(c.Coef); j++ {
-			if c.Coef[j] == nil {
-				continue
-			}
-			v := new(big.Rat).Set(c.Coef[j])
-			if sign < 0 {
-				v.Neg(v)
-			}
-			row[j] = v
-		}
+		t.addRow()
+		neg := c.RHS.Sign() < 0
+		coef := c.Coef[:min(len(c.Coef), nStruct)]
+		scales[i] = denomLCM(coef, c.RHS)
+		t.putRow(i, coef, c.RHS, scales[i], neg)
 		slackCol[i] = -1
-		switch rels[i] {
-		case LE:
-			row[slack].SetInt64(1)
-			if sign > 0 {
+		if rels[i] != EQ {
+			t.put(i, slack, num{v: 1 - 2*int64(rels[i])}) // +1 slack for LE, −1 surplus for GE
+			if !neg {
 				slackCol[i] = slack
 			}
-			t.basis[i] = slack
+			t.setBasic(i, slack)
 			slack++
-		case GE:
-			row[slack].SetInt64(-1)
-			if sign > 0 {
-				slackCol[i] = slack
-			}
-			slack++
-			row[art].SetInt64(1)
-			t.basis[i] = art
-			art++
-		case EQ:
-			row[art].SetInt64(1)
-			t.basis[i] = art
-			art++
 		}
-		row[n] = rhs
-		t.rows[i] = row
+		if rels[i] != LE {
+			t.put(i, art, num{v: 1})
+			t.setBasic(i, art)
+			art++
+			artScale = lcm(artScale, scales[i])
+		}
 	}
-
+	sol := &Solution{}
 	if nArt > 0 {
-		// Phase 1: minimize the sum of artificials.
-		t.cost = ratsZero(n + 1)
-		for j := nStruct + nSlack; j < n; j++ {
-			t.cost[j].SetInt64(1)
-		}
-		// Price out the basic artificials.
-		for i := range t.rows {
-			if t.basis[i] < nStruct+nSlack {
-				continue
-			}
-			for j := 0; j <= t.n; j++ {
-				t.cost[j].Sub(t.cost[j], t.rows[i][j])
+		// Phase 1: minimize the sum of the (unscaled) artificials, each
+		// priced out of the cost row as it is set.
+		for i, b := range t.basis {
+			if b >= nStruct+nSlack {
+				t.put(-1, b, t.mk(new(big.Int).Quo(orOne(artScale), orOne(scales[i]))))
+				t.update(-1, i, b)
 			}
 		}
-		st, err := t.simplex(n)
+		st, err := t.primal(n, &sol.pivots)
 		if err != nil {
 			return nil, err
 		}
 		if st == Unbounded {
 			return nil, errors.New("lp: phase 1 unbounded (internal error)")
 		}
-		if t.cost[n].Sign() != 0 { // phase-1 optimum = -Σ artificials ≠ 0
-			return &Solution{Status: Infeasible}, nil
+		if t.sign(-1, n) != 0 { // phase-1 optimum = Σ artificials ≠ 0
+			sol.Status, sol.promotions = Infeasible, t.promotions
+			return sol, nil
 		}
-		// Drive any artificial variables remaining in the basis out.
-		for i := range t.rows {
-			if t.basis[i] < nStruct+nSlack {
-				continue
-			}
-			for j := 0; j < nStruct+nSlack; j++ {
-				if t.rows[i][j].Sign() != 0 {
+		// Drive basic artificials out; one left in a redundant row stays
+		// basic at 0, which is harmless.
+		for i, b := range t.basis {
+			for j := 0; j < nStruct+nSlack && b >= nStruct+nSlack; j++ {
+				if t.sign(i, j) != 0 {
 					t.pivot(i, j)
 					break
 				}
 			}
-			// If no pivot was found the row is redundant; harmless — the
-			// artificial stays basic at 0.
 		}
 	}
 
 	// Phase 2: original objective over structural + slack columns only.
-	t.cost = ratsZero(n + 1)
-	for j := 0; j < nStruct && j < len(p.Objective); j++ {
-		if p.Objective[j] == nil {
-			continue
-		}
-		v := new(big.Rat).Set(p.Objective[j])
-		if !p.Minimize {
-			v.Neg(v)
-		}
-		t.cost[j] = v
-	}
-	for i, b := range t.basis {
-		if t.cost[b].Sign() == 0 {
-			continue
-		}
-		t.f.Set(t.cost[b])
-		for j := 0; j <= t.n; j++ {
-			if t.rows[i][j].Sign() == 0 {
-				continue
-			}
-			t.d.Mul(&t.f, t.rows[i][j])
-			t.cost[j].Sub(t.cost[j], &t.d)
-		}
-	}
-	st, err := t.simplex(nStruct + nSlack)
+	objScale := t.price(p.Objective[:min(len(p.Objective), nStruct)], !p.Minimize)
+	st, err := t.primal(nStruct+nSlack, &sol.pivots)
 	if err != nil {
 		return nil, err
 	}
-	if st == Unbounded {
-		return &Solution{Status: Unbounded}, nil
+	if sol.promotions = t.promotions; st == Unbounded {
+		sol.Status = Unbounded
+		return sol, nil
 	}
-	x := ratsZero(p.NumVars)
+	zeros := make([]big.Rat, p.NumVars) // one slab for the X values
+	sol.X = make([]*big.Rat, p.NumVars)
+	for j := range sol.X {
+		sol.X[j] = &zeros[j]
+	}
 	for i, b := range t.basis {
 		if b < p.NumVars {
-			x[b].Set(t.rows[i][t.n])
+			sol.X[b] = t.rat(i, n, nil, nil)
 		}
 	}
-	val := new(big.Rat).Neg(t.cost[n])
-	if !p.Minimize {
-		val.Neg(val)
+	sol.Value = t.rat(-1, n, nil, objScale)
+	if p.Minimize {
+		sol.Value.Neg(sol.Value)
 	}
-	duals := make([]*big.Rat, m)
+	sol.RowDuals = make([]*big.Rat, m)
 	for i, sc := range slackCol {
 		if sc >= 0 {
-			duals[i] = new(big.Rat).Set(t.cost[sc])
+			sol.RowDuals[i] = t.rat(-1, sc, scales[i], objScale)
 		}
 	}
-	return &Solution{Status: Optimal, Value: val, X: x, RowDuals: duals}, nil
+	return sol, nil
 }
 
-// R returns a rational a/b; R(x) with b omitted is not supported — use
-// RI for integers.
+// orOne returns s, with nil standing for 1.
+func orOne(s *big.Int) *big.Int {
+	if s == nil {
+		return big.NewInt(1)
+	}
+	return s
+}
+
+// R returns the rational a/b.
 func R(a, b int64) *big.Rat { return big.NewRat(a, b) }
 
 // RI returns the rational for the integer a.

@@ -133,12 +133,13 @@ func flushApproxLP(tr *telemetry.Trace, ws lp.WarmStats) {
 	mLPSolves.With("noop").Add(int64(ws.NoopSolves))
 	mLPSolves.With("primal").Add(int64(ws.PrimalSolves))
 	mLPSolves.With("dual").Add(int64(ws.DualSolves))
+	mLPPromotions.Add(int64(ws.Promotions))
 	if tr == nil {
 		return
 	}
 	tr.AddCounters(telemetry.Counters{
 		LPSolves: int64(ws.Solves), LPCold: int64(ws.ColdStarts),
 		LPNoop: int64(ws.NoopSolves), LPPrimal: int64(ws.PrimalSolves),
-		LPDual: int64(ws.DualSolves),
+		LPDual: int64(ws.DualSolves), LPPromotions: int64(ws.Promotions),
 	})
 }

@@ -201,6 +201,7 @@ func (c *Cache) putEntry(k Key, e *entry) {
 	if e.size > c.maxBytes {
 		return // larger than the whole budget: caching it evicts everything for one entry
 	}
+	k.canon = strings.Clone(k.canon) // drop the key builder's spare capacity
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.entries[k]; ok {

@@ -44,6 +44,8 @@ var (
 
 	mLPSolves = telemetry.Default().NewCounterVec("hg_lp_solves_total",
 		"cover-LP solves by warm path", "path")
+	mLPPromotions = telemetry.Default().NewCounter("hg_lp_promotions_total",
+		"cover-LP tableaus whose entries outgrew int64")
 
 	mSATSolves = telemetry.Default().NewCounter("hg_sat_solves_total",
 		"CDCL solver calls issued by the sat-ord strategy")
@@ -150,13 +152,14 @@ func flushBasis(tr *telemetry.Trace, basis *cover.BasisCache, es *core.EngineSta
 	mLPSolves.With("noop").Add(int64(ws.NoopSolves))
 	mLPSolves.With("primal").Add(int64(ws.PrimalSolves))
 	mLPSolves.With("dual").Add(int64(ws.DualSolves))
+	mLPPromotions.Add(int64(ws.Promotions))
 	if tr == nil {
 		return
 	}
 	c := telemetry.Counters{
 		LPSolves: int64(ws.Solves), LPCold: int64(ws.ColdStarts),
 		LPNoop: int64(ws.NoopSolves), LPPrimal: int64(ws.PrimalSolves),
-		LPDual:    int64(ws.DualSolves),
+		LPDual: int64(ws.DualSolves), LPPromotions: int64(ws.Promotions),
 		BasisHits: int64(bs.Hits), BasisMisses: int64(bs.Misses),
 		BasisEvictions: int64(bs.Evictions),
 	}

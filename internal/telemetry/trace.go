@@ -78,6 +78,8 @@ type Counters struct {
 	LPNoop   int64 `json:"lp_noop,omitempty"`
 	LPPrimal int64 `json:"lp_primal,omitempty"`
 	LPDual   int64 `json:"lp_dual,omitempty"`
+	// LPPromotions counts LP tableaus whose entries outgrew int64.
+	LPPromotions int64 `json:"lp_promotions,omitempty"`
 
 	BasisHits      int64 `json:"basis_hits,omitempty"`
 	BasisMisses    int64 `json:"basis_misses,omitempty"`
@@ -116,6 +118,7 @@ func (c *Counters) add(o Counters) {
 	c.LPNoop += o.LPNoop
 	c.LPPrimal += o.LPPrimal
 	c.LPDual += o.LPDual
+	c.LPPromotions += o.LPPromotions
 	c.BasisHits += o.BasisHits
 	c.BasisMisses += o.BasisMisses
 	c.BasisEvictions += o.BasisEvictions
@@ -276,8 +279,8 @@ func (s *Summary) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  parallel: workers=%d spec_canceled=%d shard_contention=%d\n",
 			c.EngineParWorkers, c.EngineParSpecCanceled, c.EngineParContention)
 	}
-	fmt.Fprintf(w, "  lp: solves=%d cold=%d noop=%d primal=%d dual=%d\n",
-		c.LPSolves, c.LPCold, c.LPNoop, c.LPPrimal, c.LPDual)
+	fmt.Fprintf(w, "  lp: solves=%d cold=%d noop=%d primal=%d dual=%d promotions=%d\n",
+		c.LPSolves, c.LPCold, c.LPNoop, c.LPPrimal, c.LPDual, c.LPPromotions)
 	fmt.Fprintf(w, "  caches: basis=%d/%d (evict %d) result=%d/%d\n",
 		c.BasisHits, c.BasisHits+c.BasisMisses, c.BasisEvictions,
 		c.ResultCacheHits, c.ResultCacheHits+c.ResultCacheMisses)
