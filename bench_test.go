@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"hypertree/internal/core"
@@ -462,59 +461,6 @@ func BenchmarkEngineIncrementality(b *testing.B) {
 					b.Fatal("grid 2x3 must accept at k=2")
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkEngineParallel — PR 8: the multicore engine on E07-style
-// decision checks, serial versus 2 and 4 intra-solve workers. The
-// accept legs exercise speculative first-acceptance-wins exploration of
-// the top-level guess list (the winning guess need not be the serial
-// search's first); the reject leg is a complete enumeration, which the
-// speculative root partition splits near-evenly across workers — this
-// is the leg where a 4-worker run on a ≥4-core host should approach the
-// core count. GOMAXPROCS is raised to the worker count for the parallel
-// legs (and restored) so single-core CI hosts still exercise the
-// machinery, just timesliced.
-func BenchmarkEngineParallel(b *testing.B) {
-	withProcs := func(b *testing.B, procs int, fn func(opt core.Options)) {
-		if prev := runtime.GOMAXPROCS(0); procs > prev {
-			runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-		}
-		fn(core.Options{Parallelism: procs})
-	}
-	for _, procs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("E07-grid4x4/accept/procs=%d", procs), func(b *testing.B) {
-			g := hypergraph.Grid(4, 4)
-			withProcs(b, procs, func(opt core.Options) {
-				for i := 0; i < b.N; i++ {
-					if core.CheckHDOpt(g, 3, opt) == nil {
-						b.Fatal("grid 4x4 has hw ≤ 3")
-					}
-				}
-			})
-		})
-		b.Run(fmt.Sprintf("E07-grid4x4/reject/procs=%d", procs), func(b *testing.B) {
-			g := hypergraph.Grid(4, 4)
-			withProcs(b, procs, func(opt core.Options) {
-				for i := 0; i < b.N; i++ {
-					if core.CheckHDOpt(g, 2, opt) != nil {
-						b.Fatal("grid 4x4 has hw > 2")
-					}
-				}
-			})
-		})
-		b.Run(fmt.Sprintf("E07-hypercycle/accept/procs=%d", procs), func(b *testing.B) {
-			h := hypergraph.HyperCycle(10, 4, 2)
-			withProcs(b, procs, func(opt core.Options) {
-				for i := 0; i < b.N; i++ {
-					d, err := core.CheckGHDViaBIP(h, 2, opt)
-					if err != nil || d == nil {
-						b.Fatal("hypercycle(10,4,2) has ghw 2")
-					}
-				}
-			})
 		})
 	}
 }

@@ -108,12 +108,6 @@ func jsonBenchSet() []struct {
 		}},
 		{"FHDDeepen/fresh", func(b *testing.B) { benchFHDDeepen(b, false) }},
 		{"FHDDeepen/shared", func(b *testing.B) { benchFHDDeepen(b, true) }},
-		{"EngineParallel/grid4x4-reject/procs=1", func(b *testing.B) { benchParallelGridReject(b, 1) }},
-		{"EngineParallel/grid4x4-reject/procs=2", func(b *testing.B) { benchParallelGridReject(b, 2) }},
-		{"EngineParallel/grid4x4-reject/procs=4", func(b *testing.B) { benchParallelGridReject(b, 4) }},
-		{"EngineParallel/hypercycle-accept/procs=1", func(b *testing.B) { benchParallelHCAccept(b, 1) }},
-		{"EngineParallel/hypercycle-accept/procs=2", func(b *testing.B) { benchParallelHCAccept(b, 2) }},
-		{"EngineParallel/hypercycle-accept/procs=4", func(b *testing.B) { benchParallelHCAccept(b, 4) }},
 		{"GHWDeepen/grid4x6/sat-ord", func(b *testing.B) { benchSATOrdDeepen(b, 4, 6) }},
 		{"GHWDeepen/grid4x6/engine", func(b *testing.B) { benchEngineDeepen(b, 4, 6) }},
 		{"GHWDeepen/grid4x7/sat-ord", func(b *testing.B) { benchSATOrdDeepen(b, 4, 7) }},
@@ -171,46 +165,6 @@ func benchEngineDeepen(b *testing.B, rows, cols int) {
 				}
 				break
 			}
-		}
-	}
-}
-
-// raiseProcs lifts GOMAXPROCS to at least procs for one parallel bench
-// leg and returns the restore func, so the serial records of the same
-// document are measured under the host's native setting.
-func raiseProcs(procs int) func() {
-	prev := runtime.GOMAXPROCS(0)
-	if procs > prev {
-		runtime.GOMAXPROCS(procs)
-		return func() { runtime.GOMAXPROCS(prev) }
-	}
-	return func() {}
-}
-
-// benchParallelGridReject — PR 8: the complete Check(HD,2) rejection
-// sweep on grid 4×4 (hw 3), which the speculative root partition splits
-// near-evenly across the engine workers.
-func benchParallelGridReject(b *testing.B, procs int) {
-	defer raiseProcs(procs)()
-	g := hypergraph.Grid(4, 4)
-	opt := core.Options{Parallelism: procs}
-	for i := 0; i < b.N; i++ {
-		if core.CheckHDOpt(g, 2, opt) != nil {
-			b.Fatal("grid 4x4 has hw > 2")
-		}
-	}
-}
-
-// benchParallelHCAccept — PR 8: speculative first-acceptance-wins
-// exploration on the E07 hypercycle family's Check(GHD,2).
-func benchParallelHCAccept(b *testing.B, procs int) {
-	defer raiseProcs(procs)()
-	h := hypergraph.HyperCycle(10, 4, 2)
-	opt := core.Options{Parallelism: procs}
-	for i := 0; i < b.N; i++ {
-		d, err := core.CheckGHDViaBIP(h, 2, opt)
-		if err != nil || d == nil {
-			b.Fatal("hypercycle(10,4,2) has ghw 2")
 		}
 	}
 }

@@ -6,7 +6,6 @@
 //
 //	hgserve [-addr :8080] [-workers N] [-queue N] [-cache N]
 //	        [-cache-bytes B] [-timeout 5s] [-max-timeout 30s]
-//	        [-solve-procs N]
 //
 // Endpoints:
 //
@@ -41,14 +40,6 @@
 // is shed with 503. A batch occupies one admission slot and its
 // instances borrow worker slots individually, sharded corpus-runner
 // style. SIGINT/SIGTERM drain in-flight requests before exit.
-//
-// -solve-procs sets the intra-solve engine parallelism per admitted
-// request (default 1: the worker pool is the only parallelism, as
-// before). Values above GOMAXPROCS/workers are clamped so a full worker
-// pool cannot oversubscribe the machine, and batches at least as large
-// as the worker pool force it back to 1 — instance-level sharding
-// already saturates the CPUs, so intra-solve workers would only add
-// contention.
 package main
 
 import (
@@ -78,13 +69,11 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", solve.DefaultCacheBytes, "approximate result cache byte budget (0 = default)")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-request budget")
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "hard cap on client-chosen budgets")
-	solveProcs := flag.Int("solve-procs", 1, "intra-solve engine parallelism per request (clamped to GOMAXPROCS/workers; 1 = serial engines)")
 	pprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	accessLog := flag.Bool("access-log", false, "write one structured JSON line per solved request to stderr")
 	flag.Parse()
 
 	s := newServer(*workers, *queue, *cacheSize, *cacheBytes, *timeout, *maxTimeout)
-	s.solveProcs = clampSolveProcs(*solveProcs, s.workers)
 	s.accessLog = *accessLog
 	s.pprof = *pprof
 	srv := &http.Server{Addr: *addr, Handler: s.routes()}
@@ -118,7 +107,6 @@ type server struct {
 	sem        chan struct{} // one slot per concurrently running solve
 	workers    int
 	queue      int // admitted requests allowed to wait for a slot
-	solveProcs int // intra-solve engine parallelism per request (≥ 1)
 	timeout    time.Duration
 	maxTimeout time.Duration
 	started    time.Time
@@ -146,35 +134,10 @@ func newServer(workers, queue, cacheSize int, cacheBytes int64, timeout, maxTime
 		sem:        make(chan struct{}, workers),
 		workers:    workers,
 		queue:      queue,
-		solveProcs: 1,
 		timeout:    timeout,
 		maxTimeout: maxTimeout,
 		started:    time.Now(),
 	}
-}
-
-// clampSolveProcs resolves the -solve-procs request: at least 1 (the
-// serial engine), at most the machine's share per worker-pool slot —
-// with a full pool of `workers` concurrent solves, each one may use up
-// to ⌈GOMAXPROCS/workers⌉ engine workers before the box oversubscribes.
-// The per-solve token budget inside internal/solve bounds the extras
-// dynamically too; this clamp keeps even the static request honest.
-func clampSolveProcs(requested, workers int) int {
-	if requested <= 1 {
-		return 1
-	}
-	maxp := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
-	share := (maxp + workers - 1) / workers
-	if share < 1 {
-		share = 1
-	}
-	if requested > share {
-		return share
-	}
-	return requested
 }
 
 // newCache builds the result cache: entry- and byte-bounded, or nil
@@ -310,10 +273,9 @@ func (s *server) handleSolve(withWitness bool) http.HandlerFunc {
 		}
 
 		res, err := s.solver.Solve(ctx, h, solve.Options{
-			Measure:     measure,
-			Timeout:     budget,
-			Validate:    withWitness,
-			Parallelism: s.solveProcs,
+			Measure:  measure,
+			Timeout:  budget,
+			Validate: withWitness,
 		})
 		if err != nil {
 			if errors.Is(err, context.Canceled) {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	hgwidth [-measures hw,ghw,fhw] [-timeout 30s] [-procs n] [-no-preprocess]
+//	hgwidth [-measures hw,ghw,fhw] [-timeout 30s] [-no-preprocess]
 //	        [-exact] [-heuristic] [-check k] [-dump-cnf out.cnf]
 //	        [-show] [-gml] [-stats] [file]
 //
@@ -47,7 +47,6 @@ import (
 func main() {
 	measures := flag.String("measures", "hw,ghw,fhw", "comma-separated width measures to solve (hw, ghw, fhw)")
 	timeout := flag.Duration("timeout", 30*time.Second, "budget per measure (0 = unbounded)")
-	procs := flag.Int("procs", 0, "intra-solve engine parallelism per Check call (1 = exact serial search, 0 = GOMAXPROCS gated by instance size)")
 	noPre := flag.Bool("no-preprocess", false, "disable the simplification pipeline")
 	exact := flag.Bool("exact", false, "also run the exponential elimination DP directly (small inputs)")
 	heuristic := flag.Bool("heuristic", false, "also report min-fill upper bounds on ghw/fhw")
@@ -105,7 +104,6 @@ func main() {
 			Measure:      m,
 			Timeout:      *timeout,
 			NoPreprocess: *noPre,
-			Parallelism:  *procs,
 		})
 		if err != nil {
 			fatal(err)
@@ -138,7 +136,7 @@ func main() {
 		maybeShow(*show, "FHD", fd)
 	}
 	if *check != "" && ctx.Err() == nil {
-		runChecks(ctx, h, *check, *show, *procs)
+		runChecks(ctx, h, *check, *show)
 	}
 	if interrupted {
 		fmt.Println("(interrupted: bounds above are partial)")
@@ -234,14 +232,14 @@ func printResult(w io.Writer, m solve.Measure, r *solve.Result) {
 
 // runChecks preserves the direct Check(·,k) procedures of the original
 // command.
-func runChecks(ctx context.Context, h *hypergraph.Hypergraph, check string, show bool, procs int) {
+func runChecks(ctx context.Context, h *hypergraph.Hypergraph, check string, show bool) {
 	k, ok := new(big.Rat).SetString(check)
 	if !ok {
 		fatal(fmt.Errorf("bad -check value %q", check))
 	}
 	if k.IsInt() {
 		ki := int(k.Num().Int64())
-		if d, err := core.CheckHDOptCtx(ctx, h, ki, core.Options{Parallelism: procs}); err != nil {
+		if d, err := core.CheckHDCtx(ctx, h, ki); err != nil {
 			fmt.Printf("Check(HD,%d): %v\n", ki, err)
 		} else if d != nil {
 			fmt.Printf("Check(HD,%d): yes\n", ki)
@@ -249,7 +247,7 @@ func runChecks(ctx context.Context, h *hypergraph.Hypergraph, check string, show
 		} else {
 			fmt.Printf("Check(HD,%d): no\n", ki)
 		}
-		d, err := core.CheckGHDViaBIPCtx(ctx, h, ki, core.Options{Parallelism: procs})
+		d, err := core.CheckGHDViaBIPCtx(ctx, h, ki, core.Options{})
 		switch {
 		case err != nil:
 			fmt.Printf("Check(GHD,%d): %v\n", ki, err)
@@ -260,7 +258,7 @@ func runChecks(ctx context.Context, h *hypergraph.Hypergraph, check string, show
 			fmt.Printf("Check(GHD,%d): no\n", ki)
 		}
 	}
-	d, err := core.CheckFHDCtx(ctx, h, k, core.FHDOptions{Parallelism: procs})
+	d, err := core.CheckFHDCtx(ctx, h, k, core.FHDOptions{})
 	switch {
 	case err != nil:
 		fmt.Printf("Check(FHD,%s): %v\n", k.RatString(), err)

@@ -16,16 +16,12 @@ import (
 // small per-run count (memo map, arena chunks, decomp extraction) that
 // these bounds keep from silently regressing. The bounds carry ~50%
 // headroom over the measured counts (GHD ≈ 200, HD ≈ 101, FHD ≈ 6500 on
-// grid 2×3; the pre-PR-6 engine sat at 289 for the GHD run).
-//
-// Since PR 8 the engine has a parallel mode; Parallelism: 1 is the
-// contract-level "exact serial search" and the pins request it
-// explicitly, so they hold on any host regardless of GOMAXPROCS and of
-// the auto-parallel size gate.
+// grid 2×3; the pre-PR-6 engine sat at 289 for the GHD run). Every
+// pin runs with zero-value options — the product default.
 
 func TestCheckGHDSteadyStateAllocBound(t *testing.T) {
 	g := hypergraph.Grid(2, 3)
-	opt := core.Options{Parallelism: 1}
+	var opt core.Options
 	core.CheckGHDViaBIP(g, 2, opt) // warm pools and arenas
 	if n := testing.AllocsPerRun(30, func() {
 		core.CheckGHDViaBIP(g, 2, opt)
@@ -36,7 +32,7 @@ func TestCheckGHDSteadyStateAllocBound(t *testing.T) {
 
 func TestCheckHDSteadyStateAllocBound(t *testing.T) {
 	g := hypergraph.Grid(2, 3)
-	opt := core.Options{Parallelism: 1}
+	var opt core.Options
 	core.CheckHDOpt(g, 3, opt)
 	if n := testing.AllocsPerRun(30, func() {
 		core.CheckHDOpt(g, 3, opt)
@@ -51,11 +47,26 @@ func TestCheckFHDSteadyStateAllocBound(t *testing.T) {
 	// warm-start or a de-pooled scratch path.
 	g := hypergraph.Grid(2, 3)
 	k := lp.RI(2)
-	opt := core.FHDOptions{Parallelism: 1}
+	var opt core.FHDOptions
 	core.CheckFHD(g, k, opt)
 	if n := testing.AllocsPerRun(10, func() {
 		core.CheckFHD(g, k, opt)
 	}); n > 9800 {
 		t.Fatalf("CheckFHD allocates %v per run, want ≤ 9800", n)
+	}
+}
+
+func TestCheckGHDGrid3x3AllocBound(t *testing.T) {
+	// Grid(3,3) has 12 edges: the default path pinned beyond the
+	// smallest grids (measured ≈ 330).
+	g := hypergraph.Grid(3, 3)
+	var opt core.Options
+	if d, err := core.CheckGHDViaBIP(g, 2, opt); err != nil || d == nil {
+		t.Fatalf("grid 3x3 must accept at k=2 (err %v)", err)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		core.CheckGHDViaBIP(g, 2, opt)
+	}); n > 500 {
+		t.Fatalf("CheckGHDViaBIP allocates %v per run, want ≤ 500", n)
 	}
 }

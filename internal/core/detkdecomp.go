@@ -88,11 +88,6 @@ func (o *hdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, tr
 			return false
 		}
 		for i := start; candMark+i < len(o.candBuf); i++ {
-			// Speculative root partition (parallel runs only): first
-			// atoms belonging to another worker's slice are skipped.
-			if e.specSkip(len(o.lamBuf) == lamMark, i) {
-				continue
-			}
 			ed := o.candBuf[candMark+i]
 			o.lamBuf = append(o.lamBuf, ed)
 			// Mirror the push into the engine's component structure: the
@@ -153,8 +148,8 @@ func CheckHD(h *hypergraph.Hypergraph, k int) *decomp.Decomp {
 	return checkHD(h, k, nil, Options{})
 }
 
-// CheckHDOpt is CheckHD with engine options — the stats sink and the
-// parallelism knobs; the GHD-specific subedge cap is ignored.
+// CheckHDOpt is CheckHD with engine options — the stats sink; the
+// GHD-specific subedge cap is ignored.
 func CheckHDOpt(h *hypergraph.Hypergraph, k int, opt Options) *decomp.Decomp {
 	return checkHD(h, k, nil, opt)
 }
@@ -165,14 +160,6 @@ func CheckHDOpt(h *hypergraph.Hypergraph, k int, opt Options) *decomp.Decomp {
 func checkHD(h *hypergraph.Hypergraph, k int, done <-chan struct{}, opt Options) *decomp.Decomp {
 	if k <= 0 || h.NumEdges() == 0 {
 		return nil
-	}
-	if par := effectiveParallelism(opt.Parallelism, h); par > 1 {
-		// The HD oracle cannot fail sideways; the only error path out of
-		// runParallel is the canceled panic, handled by the Ctx wrappers.
-		d, _ := runParallel(h, func() coverOracle {
-			return newHDOracle(h, k)
-		}, done, par, opt.Budget, opt.Stats)
-		return d
 	}
 	e := newEngine(h, newHDOracle(h, k), false, done)
 	e.sink = opt.Stats

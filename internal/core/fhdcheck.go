@@ -34,21 +34,13 @@ type FHDOptions struct {
 	// k-independent, k only thresholds the optimum) lets subproblems
 	// seed their solves from bases retired in earlier levels. When nil
 	// the run uses a private cache. A BasisCache is not safe for
-	// concurrent use — do not share across parallel strategies; for the
-	// same reason runs with effective Parallelism > 1 ignore this field
-	// and give every worker its own pool-recycled cache.
+	// concurrent use — do not share across parallel strategies.
 	Basis *cover.BasisCache
 	// Stats, when non-nil, receives the engine's run counters on
 	// completion (added, so one sink can accumulate across deepening
 	// levels). Leave nil when not tracing: the nil path adds nothing to
 	// the run.
 	Stats *EngineStats
-	// Parallelism bounds the CPU workers the run may use; see
-	// Options.Parallelism — the semantics (1 = exact serial search,
-	// explicit n obeyed, 0 = size-gated GOMAXPROCS) are identical.
-	Parallelism int
-	// Budget is the shared CPU-token pool; see Options.Budget.
-	Budget *Budget
 }
 
 // fhdAtom is one candidate bag contribution for the FHD oracle: a
@@ -111,8 +103,7 @@ type fhdOracle struct {
 	supports hypergraph.Interner      // interned chosen-atom id sets
 	lpMemo   map[int]map[int]*big.Rat // support id → atom id → weight (nil = no cover ≤ k)
 
-	basis       *cover.BasisCache // warm LP solvers, keyed by retired scope
-	pooledBasis bool              // basis came from fhdBasisPool; return it on release
+	basis *cover.BasisCache // warm LP solvers, keyed by retired scope
 
 	// Scratch buffers; each is fully consumed before the engine recurses.
 	scope, b hypergraph.VertexSet
@@ -204,11 +195,6 @@ func (o *fhdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 					break
 				}
 			}
-			// Speculative root partition (parallel runs only): first
-			// atoms belonging to another worker's slice are skipped.
-			if e.specSkip(len(o.choBuf) == choMark, i) {
-				continue
-			}
 			a := o.ordBuf[ordMark+i]
 			o.choBuf = append(o.choBuf, a)
 			inc.Push(a.id, a.set)
@@ -231,18 +217,6 @@ func (o *fhdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 // dynAware: the support stack above is mirrored into the engine's
 // incremental component structure.
 func (o *fhdOracle) dynAware() {}
-
-// oracleErr exposes the sideways failure to parallel runs (errOracle).
-func (o *fhdOracle) oracleErr() error { return o.err }
-
-// releasePooled returns a pool-drawn BasisCache when the run retires
-// (poolable; parallel workers only — serial runs own or borrow theirs).
-func (o *fhdOracle) releasePooled() {
-	if o.pooledBasis && o.basis != nil {
-		fhdBasisPool.Put(o.basis)
-		o.basis = nil
-	}
-}
 
 // buildCands assembles the first-round atoms of a scope: in lazy mode
 // the sets e ∩ scope of the original edges meeting the scope; in eager
@@ -434,7 +408,7 @@ func checkFHD(h *hypergraph.Hypergraph, k *big.Rat, opt FHDOptions, done <-chan 
 	if opt.Subedges != nil {
 		aug = Augment(h, opt.Subedges)
 	}
-	dec, err := runFHD(h, aug, k, maxSupport, max, opt, done)
+	dec, err := runFHD(h, aug, k, maxSupport, max, opt.Basis, opt.Stats, done)
 	if err == nil || aug != nil {
 		return dec, err
 	}
@@ -445,25 +419,15 @@ func checkFHD(h *hypergraph.Hypergraph, k *big.Rat, opt FHDOptions, done <-chan 
 	if herr != nil {
 		return nil, herr
 	}
-	return runFHD(h, Augment(h, subs), k, maxSupport, max, opt, done)
+	return runFHD(h, Augment(h, subs), k, maxSupport, max, opt.Basis, opt.Stats, done)
 }
 
 // runFHD runs the engine once over a fixed candidate source (lazy f⁺
 // when aug is nil, the augmented pool otherwise).
-func runFHD(h *hypergraph.Hypergraph, aug *Augmented, k *big.Rat, maxSupport, maxSets int, opt FHDOptions, done <-chan struct{}) (*decomp.Decomp, error) {
-	if par := effectiveParallelism(opt.Parallelism, h); par > 1 {
-		// Each worker gets its own pool-recycled BasisCache: a shared one
-		// is not concurrency-safe, and the warm-basis prefix matching is
-		// sound across runs, so recycling keeps the warm-start win.
-		return runParallel(h, func() coverOracle {
-			o := newFHDOracle(h, aug, k, maxSupport, maxSets, fhdBasisPool.Get().(*cover.BasisCache))
-			o.pooledBasis = true
-			return o
-		}, done, par, opt.Budget, opt.Stats)
-	}
-	o := newFHDOracle(h, aug, k, maxSupport, maxSets, opt.Basis)
+func runFHD(h *hypergraph.Hypergraph, aug *Augmented, k *big.Rat, maxSupport, maxSets int, basis *cover.BasisCache, sink *EngineStats, done <-chan struct{}) (*decomp.Decomp, error) {
+	o := newFHDOracle(h, aug, k, maxSupport, maxSets, basis)
 	e := newEngine(h, o, false, done)
-	e.sink = opt.Stats
+	e.sink = sink
 	defer e.finish()
 	key, ok := e.decompose(h.Vertices(), engineState{a: hypergraph.NewVertexSet(h.NumVertices())})
 	if o.err != nil {

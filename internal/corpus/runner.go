@@ -105,12 +105,6 @@ type RunOptions struct {
 	Timeout time.Duration
 	// Shards is the number of parallel workers (≤ 0 runs serially).
 	Shards int
-	// Parallelism is passed to solve.Options.Parallelism for each
-	// instance: intra-solve engine workers per Check call. Leave 0 only
-	// when Shards is small — corpus runs usually saturate the machine
-	// with instance-level shards, so hgserve's batch path pins this to 1
-	// whenever the batch is at least worker-pool-sized.
-	Parallelism int
 	// ResultsPath is the JSONL results log Run appends to (empty
 	// disables logging; RunLoaded never writes files).
 	ResultsPath string
@@ -215,7 +209,7 @@ func solveOne(ctx context.Context, solver *solve.Solver, it Loaded, opt RunOptio
 	r.Classes = Classify(h)
 	sctx, tr := telemetry.WithTrace(ctx)
 	start := time.Now()
-	res, err := solver.Solve(sctx, h, solve.Options{Measure: opt.Measure, Timeout: opt.Timeout, Parallelism: opt.Parallelism})
+	res, err := solver.Solve(sctx, h, solve.Options{Measure: opt.Measure, Timeout: opt.Timeout})
 	r.ElapsedMS = time.Since(start).Milliseconds()
 	if err != nil {
 		r.Err = err.Error()

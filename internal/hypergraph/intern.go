@@ -37,17 +37,10 @@ type internEntry struct {
 // cloning s (the decomposition searches rely on this to pass scratch
 // buffers in and keep canonical sets).
 func (in *Interner) Intern(s VertexSet) (int, VertexSet, bool) {
-	return in.InternHashed(s.Fingerprint(), s)
-}
-
-// InternHashed is Intern with the fingerprint supplied by the caller.
-// fp must equal s.Fingerprint(); the split exists for callers that have
-// already hashed s to pick a shard (core's sharded parallel interner)
-// and must not pay a second pass over the words.
-func (in *Interner) InternHashed(fp uint64, s VertexSet) (int, VertexSet, bool) {
 	if in.buckets == nil {
 		in.buckets = map[uint64]int32{}
 	}
+	fp := s.Fingerprint()
 	head := in.buckets[fp]
 	for i := head; i != 0; i = in.entries[i-1].next {
 		if e := &in.entries[i-1]; e.set.Equal(s) {

@@ -54,7 +54,7 @@ func TestMergeBlocksPreservesInterval(t *testing.T) {
 	}
 	// Block 0 solved for real; every other block simulates a budget that
 	// expired after proving a lower bound but before any witness.
-	pieces[0].out = solveBlock(context.Background(), pieces[0].bh, Options{Measure: GHW}, 0, nil)
+	pieces[0].out = solveBlock(context.Background(), pieces[0].bh, Options{Measure: GHW}, 0)
 	if !pieces[0].out.exact {
 		t.Fatalf("toy block not solved exactly: %+v", pieces[0].out)
 	}

@@ -126,13 +126,10 @@ func (s *Solver) record(tr *telemetry.Trace, res *Result, err error) {
 // engineCounters maps an engine-stats sink onto trace counters.
 func engineCounters(es *core.EngineStats) telemetry.Counters {
 	return telemetry.Counters{
-		EngineSubproblems:     es.Subproblems,
-		EngineMemoHits:        es.MemoHits,
-		DynResets:             es.DynResets,
-		DynSeeded:             es.DynSeeded,
-		EngineParWorkers:      es.ParWorkers,
-		EngineParSpecCanceled: es.ParSpecCanceled,
-		EngineParContention:   es.ParShardContention,
+		EngineSubproblems: es.Subproblems,
+		EngineMemoHits:    es.MemoHits,
+		DynResets:         es.DynResets,
+		DynSeeded:         es.DynSeeded,
 	}
 }
 
@@ -166,8 +163,6 @@ func flushBasis(tr *telemetry.Trace, basis *cover.BasisCache, es *core.EngineSta
 	if es != nil {
 		c.EngineSubproblems, c.EngineMemoHits = es.Subproblems, es.MemoHits
 		c.DynResets, c.DynSeeded = es.DynResets, es.DynSeeded
-		c.EngineParWorkers, c.EngineParSpecCanceled = es.ParWorkers, es.ParSpecCanceled
-		c.EngineParContention = es.ParShardContention
 	}
 	tr.AddCounters(c)
 }

@@ -163,11 +163,8 @@ func ratCeilInt(r *big.Rat) int {
 }
 
 // solveBlock runs the portfolio for block blk (the index is only used
-// to label trace events). budget is the solve-wide CPU-token pool the
-// deepening strategies hand to their engines so intra-solve workers
-// never oversubscribe the machine across racing strategies and blocks;
-// nil means no extra workers.
-func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk int, budget *core.Budget) blockResult {
+// to label trace events).
+func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk int) blockResult {
 	tr := telemetry.FromContext(ctx)
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -211,7 +208,7 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 	satGate := nv > 1 && nv <= satOrdLimit(opt)
 	switch opt.Measure {
 	case HW:
-		strategies = append(strategies, strat{"detk", func() { deepenHD(bctx, bh, r, opt, maxK, tr, blk, budget) }})
+		strategies = append(strategies, strat{"detk", func() { deepenHD(bctx, bh, r, maxK, tr, blk) }})
 		if satGate {
 			strategies = append(strategies, strat{"sat-ord-lb", func() { deepenSATOrdHWLower(bctx, bh, r, opt, maxK, tr, blk) }})
 		}
@@ -237,7 +234,7 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 				}
 			}},
 			strat{"approx-logn", func() { runApproxLogN(bctx, bh, r, opt, tr, blk) }},
-			strat{"bip", func() { deepenGHDViaBIP(bctx, bh, r, opt, maxK, tr, blk, budget) }},
+			strat{"bip", func() { deepenGHDViaBIP(bctx, bh, r, maxK, tr, blk) }},
 		)
 		if satGate {
 			strategies = append(strategies, strat{"sat-ord", func() { deepenSATOrdGHW(bctx, bh, r, opt, maxK, tr, blk) }})
@@ -264,27 +261,44 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 				}
 			}},
 			strat{"approx-logn", func() { runApproxLogN(bctx, bh, r, opt, tr, blk) }},
-			strat{"fhd-check", func() { deepenFHDCheck(bctx, bh, r, opt, maxK, tr, blk, budget) }},
+			strat{"fhd-check", func() { deepenFHDCheck(bctx, bh, r, maxK, tr, blk) }},
 		)
 		if satGate {
 			strategies = append(strategies, strat{"sat-ord", func() { deepenSATOrdFHW(bctx, bh, r, opt, maxK, tr, blk) }})
 		}
 	}
 
+	// Every traced strategy_start gets exactly one strategy_end: lane
+	// ends go through laneMu, and once the block returns (sealed) the
+	// lanes still running are closed as "canceled" and their own late
+	// ends dropped. starts[i] is zeroed when lane i's end is recorded.
+	var laneMu sync.Mutex
+	sealed := false
+	var starts []time.Time
+	if tr != nil {
+		starts = make([]time.Time, len(strategies))
+	}
 	var wg sync.WaitGroup
-	for _, st := range strategies {
+	for i, st := range strategies {
 		wg.Add(1)
-		go func(st strat) {
+		if tr != nil {
+			tr.StrategyStart(blk, st.name)
+			starts[i] = time.Now()
+		}
+		go func(i int, st strat) {
 			defer wg.Done()
+			st.run()
 			if tr == nil {
-				st.run()
 				return
 			}
-			tr.StrategyStart(blk, st.name)
-			t0 := time.Now()
-			st.run()
-			tr.StrategyEnd(blk, st.name, time.Since(t0), r.outcome(st.name, bctx))
-		}(st)
+			outcome := r.outcome(st.name, bctx)
+			laneMu.Lock()
+			if !sealed {
+				tr.StrategyEnd(blk, st.name, time.Since(starts[i]), outcome)
+				starts[i] = time.Time{}
+			}
+			laneMu.Unlock()
+		}(i, st)
 	}
 	// Every strategy polls its context, so on expiry they all unwind
 	// within one poll interval plus at most one LP/cover solve. The
@@ -301,6 +315,16 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 	case <-done:
 	case <-ctx.Done():
 	}
+	if tr != nil {
+		laneMu.Lock()
+		sealed = true
+		for i, t0 := range starts {
+			if !t0.IsZero() {
+				tr.StrategyEnd(blk, strategies[i].name, time.Since(t0), "canceled")
+			}
+		}
+		laneMu.Unlock()
+	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -313,17 +337,16 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 // deepenHD runs Check(HD,k) iterative deepening. Every failed level is a
 // proven lower bound; the first success after failing all lower levels
 // is exact.
-func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int, budget *core.Budget) {
+func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, maxK int, tr *telemetry.Trace, blk int) {
 	var es *core.EngineStats
 	if tr != nil {
 		es = &core.EngineStats{}
 		defer func() { tr.AddCounters(engineCounters(es)) }()
 	}
-	copt := core.Options{Stats: es, Parallelism: opt.Parallelism, Budget: budget}
 	for k := r.snapshotLower(); k <= maxK; k++ {
 		mDeepenSteps.With("detk").Inc()
 		tr.Deepen(blk, "detk", k)
-		d, err := core.CheckHDOptCtx(ctx, bh, k, copt)
+		d, err := core.CheckHDStatsCtx(ctx, bh, k, es)
 		if err != nil {
 			return
 		}
@@ -359,23 +382,19 @@ func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Optio
 // outlive the deepening loop — it is keyed on this hypergraph's
 // positional vertex numbering and the strategy goroutines each own
 // their loop, so sharing wider would race.
-func deepenFHDCheck(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int, budget *core.Budget) {
+func deepenFHDCheck(ctx context.Context, bh *hypergraph.Hypergraph, r *race, maxK int, tr *telemetry.Trace, blk int) {
 	basis := cover.NewBasisCache(0)
 	var es *core.EngineStats
 	if tr != nil {
 		es = &core.EngineStats{}
 	}
 	// The retired loop's basis-cache and warm-LP aggregates feed the
-	// process counters (and the trace) even on early return. Parallel
-	// levels recycle per-worker pooled caches instead of this one (the
-	// cache is not concurrency-safe), so its aggregates then stay at
-	// whatever the serial levels accumulated.
+	// process counters (and the trace) even on early return.
 	defer func() { flushBasis(tr, basis, es) }()
-	fopt := core.FHDOptions{Basis: basis, Stats: es, Parallelism: opt.Parallelism, Budget: budget}
 	for k := r.snapshotLower(); k <= maxK; k++ {
 		mDeepenSteps.With("fhd-check").Inc()
 		tr.Deepen(blk, "fhd-check", k)
-		d, err := core.CheckFHDCtx(ctx, bh, lp.RI(int64(k)), fopt)
+		d, err := core.CheckFHDCtx(ctx, bh, lp.RI(int64(k)), core.FHDOptions{Basis: basis, Stats: es})
 		if err != nil {
 			return // context done or closure cap exceeded
 		}
@@ -394,17 +413,16 @@ func deepenFHDCheck(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt
 // deepenGHDViaBIP runs Check(GHD,k) iterative deepening through the
 // subedge-augmentation reduction. If the subedge closure exceeds its cap
 // the strategy retires and leaves the field to the others.
-func deepenGHDViaBIP(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int, budget *core.Budget) {
+func deepenGHDViaBIP(ctx context.Context, bh *hypergraph.Hypergraph, r *race, maxK int, tr *telemetry.Trace, blk int) {
 	var es *core.EngineStats
 	if tr != nil {
 		es = &core.EngineStats{}
 		defer func() { tr.AddCounters(engineCounters(es)) }()
 	}
-	copt := core.Options{Stats: es, Parallelism: opt.Parallelism, Budget: budget}
 	for k := r.snapshotLower(); k <= maxK; k++ {
 		mDeepenSteps.With("bip").Inc()
 		tr.Deepen(blk, "bip", k)
-		d, err := core.CheckGHDViaBIPCtx(ctx, bh, k, copt)
+		d, err := core.CheckGHDViaBIPCtx(ctx, bh, k, core.Options{Stats: es})
 		if err != nil {
 			return // context done or closure cap exceeded
 		}

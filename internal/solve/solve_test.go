@@ -241,7 +241,7 @@ func TestFHDCheckStrategy(t *testing.T) {
 	defer cancel()
 	r := &race{cancel: cancel}
 	r.res.lower = lp.RI(1)
-	deepenFHDCheck(bctx, hypergraph.Clique(3), r, Options{}, 4, nil, 0, nil)
+	deepenFHDCheck(bctx, hypergraph.Clique(3), r, 4, nil, 0)
 	if r.res.upper == nil || r.res.upper.Cmp(lp.RI(2)) > 0 || r.res.upper.Cmp(lp.R(3, 2)) < 0 {
 		t.Fatalf("fhd-check upper = %v, want within [3/2, 2]", r.res.upper)
 	}

@@ -3,6 +3,7 @@ package solve
 import (
 	"context"
 	"testing"
+	"time"
 
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
@@ -66,7 +67,7 @@ func TestDeepenFHDTrace(t *testing.T) {
 	r := &race{cancel: cancel}
 	r.res.lower = lp.RI(1)
 	tr := telemetry.NewTrace()
-	deepenFHDCheck(bctx, hypergraph.Clique(3), r, Options{}, 4, tr, 0, nil)
+	deepenFHDCheck(bctx, hypergraph.Clique(3), r, 4, tr, 0)
 	if r.res.upper == nil {
 		t.Fatal("fhd-check found no witness")
 	}
@@ -129,4 +130,39 @@ func TestSolveUntracedAllocs(t *testing.T) {
 	if n > 22 {
 		t.Fatalf("untraced cache-hit solve allocates %v per run, want ≤ 22", n)
 	}
+}
+
+// TestTraceClosesEveryLane: when the budget expires mid-race, Solve
+// returns without waiting for the lanes still running. Their trace must
+// still be well formed: by the time Solve returns every strategy_start
+// has exactly one strategy_end (open lanes are closed as "canceled"),
+// and a straggler finishing later adds no second one.
+func TestTraceClosesEveryLane(t *testing.T) {
+	ctx, tr := telemetry.WithTrace(context.Background())
+	if _, err := Solve(ctx, hypergraph.Grid(5, 5), Options{Measure: FHW, Timeout: 20 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		type lane struct {
+			blk  int
+			name string
+		}
+		open := map[lane]int{}
+		for _, e := range tr.Summary().Events {
+			switch e.Kind {
+			case "strategy_start":
+				open[lane{e.Block, e.Strategy}]++
+			case "strategy_end":
+				open[lane{e.Block, e.Strategy}]--
+			}
+		}
+		for l, n := range open {
+			if n != 0 {
+				t.Errorf("%s: lane %v has %+d starts without a matching end", when, l, n)
+			}
+		}
+	}
+	check("at return")
+	time.Sleep(200 * time.Millisecond) // let stragglers finish
+	check("after stragglers")
 }

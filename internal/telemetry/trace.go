@@ -69,10 +69,6 @@ type Counters struct {
 	DynResets         int64 `json:"dyn_resets,omitempty"`
 	DynSeeded         int64 `json:"dyn_seeded,omitempty"`
 
-	EngineParWorkers      int64 `json:"engine_par_workers,omitempty"`
-	EngineParSpecCanceled int64 `json:"engine_par_spec_canceled,omitempty"`
-	EngineParContention   int64 `json:"engine_par_contention,omitempty"`
-
 	LPSolves int64 `json:"lp_solves,omitempty"`
 	LPCold   int64 `json:"lp_cold,omitempty"`
 	LPNoop   int64 `json:"lp_noop,omitempty"`
@@ -110,9 +106,6 @@ func (c *Counters) add(o Counters) {
 	c.EngineMemoHits += o.EngineMemoHits
 	c.DynResets += o.DynResets
 	c.DynSeeded += o.DynSeeded
-	c.EngineParWorkers += o.EngineParWorkers
-	c.EngineParSpecCanceled += o.EngineParSpecCanceled
-	c.EngineParContention += o.EngineParContention
 	c.LPSolves += o.LPSolves
 	c.LPCold += o.LPCold
 	c.LPNoop += o.LPNoop
@@ -275,10 +268,6 @@ func (s *Summary) WriteText(w io.Writer) {
 	c := s.Counters
 	fmt.Fprintf(w, "  engine: subproblems=%d memo_hits=%d dyn_resets=%d dyn_seeded=%d\n",
 		c.EngineSubproblems, c.EngineMemoHits, c.DynResets, c.DynSeeded)
-	if c.EngineParWorkers > 0 {
-		fmt.Fprintf(w, "  parallel: workers=%d spec_canceled=%d shard_contention=%d\n",
-			c.EngineParWorkers, c.EngineParSpecCanceled, c.EngineParContention)
-	}
 	fmt.Fprintf(w, "  lp: solves=%d cold=%d noop=%d primal=%d dual=%d promotions=%d\n",
 		c.LPSolves, c.LPCold, c.LPNoop, c.LPPrimal, c.LPDual, c.LPPromotions)
 	fmt.Fprintf(w, "  caches: basis=%d/%d (evict %d) result=%d/%d\n",
