@@ -408,14 +408,12 @@ func BenchmarkE07FPTInIntersectionWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineIncrementality — PR 6: the engine's incremental
-// connectivity and warm-basis reuse on Check(·,k)-dominated runs. The
-// "deepen" pair drives the iterative-deepening FHD loop of
-// solve.deepenFHDCheck (reject at k=1, accept at k=2) with a fresh
-// cover.BasisCache per level versus one shared across levels, exposing
-// the cross-level warm-basis effect; the decision legs pin the
-// steady-state cost of the HD/GHD guess loops that now ride
-// DynComponents instead of per-guess ComponentsOf.
+// BenchmarkEngineIncrementality: the engine's incremental connectivity
+// and warm-basis reuse on Check(·,k)-dominated runs. The deepenFHD leg
+// drives an iterative-deepening Check(FHD,k) loop (reject at k=1,
+// accept at k=2), each level warm-starting its cover LPs within the
+// run; the decision legs pin the steady-state cost of the HD/GHD guess
+// loops that now ride DynComponents instead of per-guess ComponentsOf.
 func BenchmarkEngineIncrementality(b *testing.B) {
 	b.Run("checkHD/grid2x4", func(b *testing.B) {
 		g := hypergraph.Grid(2, 4)
@@ -434,35 +432,25 @@ func BenchmarkEngineIncrementality(b *testing.B) {
 			}
 		}
 	})
-	for _, shared := range []bool{false, true} {
-		name := "deepenFHD/fresh-basis"
-		if shared {
-			name = "deepenFHD/shared-basis"
-		}
-		b.Run(name, func(b *testing.B) {
-			g := hypergraph.Grid(2, 3)
-			for i := 0; i < b.N; i++ {
-				var basis *cover.BasisCache
-				if shared {
-					basis = cover.NewBasisCache(0)
+	b.Run("deepenFHD", func(b *testing.B) {
+		g := hypergraph.Grid(2, 3)
+		for i := 0; i < b.N; i++ {
+			var d *decomp.Decomp
+			for k := 1; k <= 2 && d == nil; k++ {
+				var err error
+				d, err = core.CheckFHD(g, lp.RI(int64(k)), core.FHDOptions{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				var d *decomp.Decomp
-				for k := 1; k <= 2 && d == nil; k++ {
-					var err error
-					d, err = core.CheckFHD(g, lp.RI(int64(k)), core.FHDOptions{Basis: basis})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if d != nil && k != 2 {
-						b.Fatal("grid 2x3 must reject at k=1")
-					}
-				}
-				if d == nil {
-					b.Fatal("grid 2x3 must accept at k=2")
+				if d != nil && k != 2 {
+					b.Fatal("grid 2x3 must reject at k=1")
 				}
 			}
-		})
-	}
+			if d == nil {
+				b.Fatal("grid 2x3 must accept at k=2")
+			}
+		}
+	})
 }
 
 // BenchmarkSATOrdering — PR 9: the ordering-based SAT strategy against

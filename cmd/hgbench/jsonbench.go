@@ -7,12 +7,9 @@ package main
 // PR text can cite committed BENCH_*.json records instead of pasted
 // terminal output. The benchmark set mirrors the engine-incrementality
 // rows of bench_test.go: decision checks over the grid family for the
-// three measures, plus the FHD deepening loop run cold (a fresh basis
-// cache per level) and shared (one cache across levels, the
-// solve.deepenFHDCheck wiring) to expose the cross-level warm-basis
-// effect as a first-class measurement. The GHWDeepen pairs race the
-// sat-ord incremental CDCL sweep against the engine's Check(GHD,k)
-// deepening on the same mid-size grids.
+// three measures, plus the Check(FHD,k) deepening loop. The GHWDeepen
+// pairs race the sat-ord incremental CDCL sweep against the engine's
+// Check(GHD,k) deepening on the same mid-size grids.
 
 import (
 	"context"
@@ -27,7 +24,6 @@ import (
 
 	"hypertree/internal/approx"
 	"hypertree/internal/core"
-	"hypertree/internal/cover"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
 	"hypertree/internal/ordenc"
@@ -106,8 +102,7 @@ func jsonBenchSet() []struct {
 				}
 			}
 		}},
-		{"FHDDeepen/fresh", func(b *testing.B) { benchFHDDeepen(b, false) }},
-		{"FHDDeepen/shared", func(b *testing.B) { benchFHDDeepen(b, true) }},
+		{"FHDDeepen", benchFHDDeepen},
 		{"GHWDeepen/grid4x6/sat-ord", func(b *testing.B) { benchSATOrdDeepen(b, 4, 6) }},
 		{"GHWDeepen/grid4x6/engine", func(b *testing.B) { benchEngineDeepen(b, 4, 6) }},
 		{"GHWDeepen/grid4x7/sat-ord", func(b *testing.B) { benchSATOrdDeepen(b, 4, 7) }},
@@ -169,19 +164,15 @@ func benchEngineDeepen(b *testing.B, rows, cols int) {
 	}
 }
 
-// benchFHDDeepen drives the iterative-deepening FHD loop on a grid —
-// reject at k=1, accept at k=2 — with or without one basis cache shared
-// across the levels.
-func benchFHDDeepen(b *testing.B, shared bool) {
+// benchFHDDeepen drives the iterative-deepening Check(FHD,k) loop on a
+// grid — reject at k=1, accept at k=2 — each level with its own basis
+// cache.
+func benchFHDDeepen(b *testing.B) {
 	g := hypergraph.Grid(2, 3)
 	for i := 0; i < b.N; i++ {
-		var basis *cover.BasisCache
-		if shared {
-			basis = cover.NewBasisCache(0)
-		}
 		var accepted bool
 		for k := 1; k <= 2; k++ {
-			d, err := core.CheckFHD(g, lp.RI(int64(k)), core.FHDOptions{Basis: basis})
+			d, err := core.CheckFHD(g, lp.RI(int64(k)), core.FHDOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -169,7 +169,7 @@ func dumpEncoding(h *hypergraph.Hypergraph, measures, check, path string) error 
 	}
 	defer f.Close()
 	if m == solve.FHW {
-		s, err := ordenc.NewFHWSearch(h, nil)
+		s, err := ordenc.NewFHWSearch(h)
 		if err != nil {
 			return err
 		}

@@ -47,9 +47,10 @@
 // preprocessing pipeline (empty/duplicate/subsumed edge removal, split
 // on biconnected components of the primal graph), a concurrent
 // portfolio that races clique lower bounds, iterative deepening on
-// Check(HD,k)/Check(GHD,k)/Check(FHD,k) from the clique bound, the
-// exact DP and min-fill upper bounds under context budgets with a
-// shared incumbent, witness stitching (decomp.Combine) and a
+// Check(HD,k)/Check(GHD,k) from the clique bound, the exact DP, the SAT
+// ordering encoding, and min-fill and approximation-ladder upper bounds
+// under context budgets with a shared incumbent, witness stitching
+// (decomp.Combine) and a
 // fingerprint-keyed result cache bounded by entries and by retained
 // bytes. cmd/hgserve exposes it as an HTTP/JSON service (/width,
 // /decompose, /healthz, and a streaming NDJSON /batch endpoint) with a

@@ -28,14 +28,6 @@ type FHDOptions struct {
 	// the cap trips, CheckFHD falls back to the eager h_{d,k} closure of
 	// Lemma 5.17 under the same cap.
 	MaxSubedges int
-	// Basis, when non-nil, is the warm-basis cache the run draws its
-	// cover-LP solvers from. Sharing one cache across runs on the SAME
-	// hypergraph (iterative deepening over k: the cover LP is
-	// k-independent, k only thresholds the optimum) lets subproblems
-	// seed their solves from bases retired in earlier levels. When nil
-	// the run uses a private cache. A BasisCache is not safe for
-	// concurrent use — do not share across parallel strategies.
-	Basis *cover.BasisCache
 	// Stats, when non-nil, receives the engine's run counters on
 	// completion (added, so one sink can accumulate across deepening
 	// levels). Leave nil when not tracing: the nil path adds nothing to
@@ -103,7 +95,7 @@ type fhdOracle struct {
 	supports hypergraph.Interner      // interned chosen-atom id sets
 	lpMemo   map[int]map[int]*big.Rat // support id → atom id → weight (nil = no cover ≤ k)
 
-	basis *cover.BasisCache // warm LP solvers, keyed by retired scope
+	basis *cover.BasisCache // warm LP solvers, keyed by retired scope; private to the run
 
 	// Scratch buffers; each is fully consumed before the engine recurses.
 	scope, b hypergraph.VertexSet
@@ -116,13 +108,10 @@ type fhdOracle struct {
 	choBuf []fhdAtom // the shared chosen-support stack
 }
 
-func newFHDOracle(h *hypergraph.Hypergraph, aug *Augmented, k *big.Rat, maxSupport, maxSets int, basis *cover.BasisCache) *fhdOracle {
-	if basis == nil {
-		basis = cover.NewBasisCache(0)
-	}
+func newFHDOracle(h *hypergraph.Hypergraph, aug *Augmented, k *big.Rat, maxSupport, maxSets int) *fhdOracle {
 	n := h.NumVertices()
 	return &fhdOracle{
-		h: h, aug: aug, k: k, maxSupport: maxSupport, maxSets: maxSets, basis: basis,
+		h: h, aug: aug, k: k, maxSupport: maxSupport, maxSets: maxSets, basis: cover.NewBasisCache(0),
 		lpMemo: map[int]map[int]*big.Rat{},
 		scope:  hypergraph.NewVertexSet(n),
 		b:      hypergraph.NewVertexSet(n),
@@ -408,7 +397,7 @@ func checkFHD(h *hypergraph.Hypergraph, k *big.Rat, opt FHDOptions, done <-chan 
 	if opt.Subedges != nil {
 		aug = Augment(h, opt.Subedges)
 	}
-	dec, err := runFHD(h, aug, k, maxSupport, max, opt.Basis, opt.Stats, done)
+	dec, err := runFHD(h, aug, k, maxSupport, max, opt.Stats, done)
 	if err == nil || aug != nil {
 		return dec, err
 	}
@@ -419,13 +408,13 @@ func checkFHD(h *hypergraph.Hypergraph, k *big.Rat, opt FHDOptions, done <-chan 
 	if herr != nil {
 		return nil, herr
 	}
-	return runFHD(h, Augment(h, subs), k, maxSupport, max, opt.Basis, opt.Stats, done)
+	return runFHD(h, Augment(h, subs), k, maxSupport, max, opt.Stats, done)
 }
 
 // runFHD runs the engine once over a fixed candidate source (lazy f⁺
 // when aug is nil, the augmented pool otherwise).
-func runFHD(h *hypergraph.Hypergraph, aug *Augmented, k *big.Rat, maxSupport, maxSets int, basis *cover.BasisCache, sink *EngineStats, done <-chan struct{}) (*decomp.Decomp, error) {
-	o := newFHDOracle(h, aug, k, maxSupport, maxSets, basis)
+func runFHD(h *hypergraph.Hypergraph, aug *Augmented, k *big.Rat, maxSupport, maxSets int, sink *EngineStats, done <-chan struct{}) (*decomp.Decomp, error) {
+	o := newFHDOracle(h, aug, k, maxSupport, maxSets)
 	e := newEngine(h, o, false, done)
 	e.sink = sink
 	defer e.finish()

@@ -44,7 +44,7 @@ func ghwDeepen(t *testing.T, h *hypergraph.Hypergraph) (int, *decomp.Decomp) {
 
 func fhwDeepen(t *testing.T, h *hypergraph.Hypergraph) (*big.Rat, *decomp.Decomp) {
 	t.Helper()
-	s, err := ordenc.NewFHWSearch(h, nil)
+	s, err := ordenc.NewFHWSearch(h)
 	if err != nil {
 		t.Fatalf("NewFHWSearch: %v", err)
 	}

@@ -50,18 +50,15 @@ type FHWSearch struct {
 	stats  Stats
 }
 
-// NewFHWSearch prepares the arcs-only encoding. basis may be nil (a
-// private cache is created); passing one shares warm LP bases with a
-// caller's loop.
-func NewFHWSearch(h *hypergraph.Hypergraph, basis *cover.BasisCache) (*FHWSearch, error) {
+// NewFHWSearch prepares the arcs-only encoding. The search owns a
+// private basis cache, so bags priced across levels warm-start from
+// each other.
+func NewFHWSearch(h *hypergraph.Hypergraph) (*FHWSearch, error) {
 	enc, err := newEncoder(h, false, 0)
 	if err != nil {
 		return nil, err
 	}
-	if basis == nil {
-		basis = cover.NewBasisCache(0)
-	}
-	return &FHWSearch{h: h, enc: enc, basis: basis, rho: make(map[string]*big.Rat)}, nil
+	return &FHWSearch{h: h, enc: enc, basis: cover.NewBasisCache(0), rho: make(map[string]*big.Rat)}, nil
 }
 
 // price returns ρ*(bag), memoized, with LP warm-starting through the

@@ -36,7 +36,7 @@ func ghwViaOrdering(t *testing.T, h *hypergraph.Hypergraph, kCap int) (int, *dec
 // sweep to the exact fractional width.
 func fhwViaOrdering(t *testing.T, h *hypergraph.Hypergraph) (*big.Rat, *decomp.Decomp, *FHWSearch) {
 	t.Helper()
-	s, err := NewFHWSearch(h, nil)
+	s, err := NewFHWSearch(h)
 	if err != nil {
 		t.Fatalf("NewFHWSearch: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestCancellationPropagates(t *testing.T) {
 		t.Fatalf("post-cancel Check(2): d=%v err=%v", d, err)
 	}
 
-	f, err := NewFHWSearch(h, nil)
+	f, err := NewFHWSearch(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestWriteDIMACSShape(t *testing.T) {
 		t.Fatalf("missing header comment:\n%.200s", out)
 	}
 
-	f, err := NewFHWSearch(h, nil)
+	f, err := NewFHWSearch(h)
 	if err != nil {
 		t.Fatal(err)
 	}

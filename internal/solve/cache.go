@@ -20,18 +20,16 @@ import (
 // entries.
 
 // Key identifies one cache slot: the canonical hypergraph, the measure,
-// and the result-shaping options (MaxK, ExactVertexLimit, NoPreprocess)
-// — two requests differing in those may legitimately get different
-// results, so they must not share an entry or an in-flight computation.
-// Validate and Timeout are deliberately excluded: only exact results are
-// cached, and an exact width does not depend on either.
+// and NoPreprocess — the only option that may shape a result — so
+// requests differing in it share neither an entry nor an in-flight
+// computation. Validate and Timeout are deliberately excluded: only
+// exact results are cached, and an exact width does not depend on
+// either.
 type Key struct {
-	Measure    Measure
-	FP         uint64
-	canon      string
-	maxK       int
-	exactLimit int
-	noPre      bool
+	Measure Measure
+	FP      uint64
+	canon   string
+	noPre   bool
 }
 
 // KeyFor computes the cache key of h under measure m with default
@@ -68,10 +66,7 @@ func canonKey(opt Options, h *hypergraph.Hypergraph) (Key, []int) {
 		b.WriteString(set.Key())
 		b.WriteByte('|')
 	}
-	return Key{
-		Measure: opt.Measure, FP: fp, canon: b.String(),
-		maxK: opt.MaxK, exactLimit: opt.ExactVertexLimit, noPre: opt.NoPreprocess,
-	}, relabel
+	return Key{Measure: opt.Measure, FP: fp, canon: b.String(), noPre: opt.NoPreprocess}, relabel
 }
 
 // CacheStats is a point-in-time view of cache effectiveness.

@@ -189,7 +189,7 @@ func TestStrategyFailureClassification(t *testing.T) {
 func TestApproxStrategyRuns(t *testing.T) {
 	ctx, tr := telemetry.WithTrace(context.Background())
 	h := hypergraph.Grid(4, 5) // 20 edges, 30 vertices
-	r, err := Solve(ctx, h, Options{Measure: FHW, ExactVertexLimit: 1, Timeout: 10 * time.Second})
+	r, err := Solve(ctx, h, Options{Measure: FHW, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

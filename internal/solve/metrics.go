@@ -14,6 +14,7 @@ package solve
 import (
 	"hypertree/internal/core"
 	"hypertree/internal/cover"
+	"hypertree/internal/lp"
 	"hypertree/internal/ordenc"
 	"hypertree/internal/telemetry"
 )
@@ -133,38 +134,36 @@ func engineCounters(es *core.EngineStats) telemetry.Counters {
 	}
 }
 
-// flushBasis publishes a retired deepening loop's basis-cache and
-// warm-LP aggregates: always into the process-wide counters, plus — with
-// the loop's engine sink — into the trace when the request has one. The
-// basis cache retains every solver it ever handed out (displaced and
-// evicted ones land on its free list), so its WarmStats are cumulative
-// over the loop.
-func flushBasis(tr *telemetry.Trace, basis *cover.BasisCache, es *core.EngineStats) {
+// flushBasis publishes a retired sat-ord fhw run's basis-cache and
+// warm-LP aggregates: always into the process-wide counters, plus into
+// the trace when the request has one. The basis cache retains every
+// solver it ever handed out (displaced and evicted ones land on its
+// free list), so its WarmStats are cumulative over the run.
+func flushBasis(tr *telemetry.Trace, basis *cover.BasisCache) {
 	bs := basis.Stats()
-	ws := basis.WarmStats()
 	mBasisHits.Add(int64(bs.Hits))
 	mBasisMisses.Add(int64(bs.Misses))
 	mBasisEvictions.Add(int64(bs.Evictions))
+	flushLP(tr, basis.WarmStats())
+	tr.AddCounters(telemetry.Counters{
+		BasisHits: int64(bs.Hits), BasisMisses: int64(bs.Misses),
+		BasisEvictions: int64(bs.Evictions),
+	})
+}
+
+// flushLP folds a retired loop's warm-LP aggregates into the
+// process-wide LP path counters and, when present, the request trace.
+func flushLP(tr *telemetry.Trace, ws lp.WarmStats) {
 	mLPSolves.With("cold").Add(int64(ws.ColdStarts))
 	mLPSolves.With("noop").Add(int64(ws.NoopSolves))
 	mLPSolves.With("primal").Add(int64(ws.PrimalSolves))
 	mLPSolves.With("dual").Add(int64(ws.DualSolves))
 	mLPPromotions.Add(int64(ws.Promotions))
-	if tr == nil {
-		return
-	}
-	c := telemetry.Counters{
+	tr.AddCounters(telemetry.Counters{
 		LPSolves: int64(ws.Solves), LPCold: int64(ws.ColdStarts),
 		LPNoop: int64(ws.NoopSolves), LPPrimal: int64(ws.PrimalSolves),
 		LPDual: int64(ws.DualSolves), LPPromotions: int64(ws.Promotions),
-		BasisHits: int64(bs.Hits), BasisMisses: int64(bs.Misses),
-		BasisEvictions: int64(bs.Evictions),
-	}
-	if es != nil {
-		c.EngineSubproblems, c.EngineMemoHits = es.Subproblems, es.MemoHits
-		c.DynResets, c.DynSeeded = es.DynResets, es.DynSeeded
-	}
-	tr.AddCounters(c)
+	})
 }
 
 // flushSAT publishes a retired sat-ord strategy run's solver aggregates

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hypertree/internal/core"
-	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
@@ -19,23 +18,39 @@ import (
 // incumbent bounds: lower bounds rise as deepening proves levels
 // infeasible, upper bounds fall as heuristics and exact searches find
 // witnesses, and the moment the two meet the block context is cancelled
-// so the losing strategies stop burning cycles. Which strategies run
-// depends on the measure and the block size:
+// so the losing strategies stop burning cycles. The lane set is fixed
+// per measure; only the block size gates the exact-DP lane (at most
+// exactVertexLimit vertices) and the sat-ord lanes (2 to satOrdLimit
+// vertices). Deepening runs up to |E| of the block: one bag covered by
+// every edge bounds every width measure.
 //
 //	hw:   clique lower bound, then Check(HD,k) iterative deepening from
-//	      the bound (success at level k after failures below is exact);
-//	      the sat-ord-lb ordering encoding contributes ghw-based lower
-//	      bounds in parallel (ghw ≤ hw).
-//	ghw:  clique lower bound; exact elimination DP for small blocks;
-//	      min-fill GHD as a fast upper bound; Check(GHD,k)-via-BIP
-//	      iterative deepening; sat-ord incremental ordering-encoding
-//	      deepening (internal/ordenc) on blocks within its size gate.
-//	fhw:  fractional clique lower bound; exact elimination DP for small
-//	      blocks; min-fill FHD as a fast upper bound; Check(FHD,k)
-//	      deepening over integer levels for rational-width witnesses;
-//	      sat-ord LP-hybrid (SAT fixes orderings, the warm LP prices
-//	      bags) which refines accepted levels down to the exact
-//	      fractional width.
+//	      the bound (detk; success at level k after failures below is
+//	      exact); the sat-ord-lb ordering encoding contributes ghw-based
+//	      lower bounds in parallel (ghw ≤ hw).
+//	ghw:  clique lower bound; exact elimination DP (exact-dp); min-fill
+//	      GHD as a fast upper bound (minfill, then local-improve); the
+//	      approx-logn ladder; Check(GHD,k)-via-BIP iterative deepening
+//	      (bip); sat-ord incremental ordering-encoding deepening
+//	      (internal/ordenc).
+//	fhw:  fractional clique lower bound; exact elimination DP; min-fill
+//	      FHD and the approx-logn ladder as upper bounds, each followed
+//	      by local-improve; sat-ord LP-hybrid (SAT fixes orderings, the
+//	      warm LP prices bags) which refines accepted levels down to the
+//	      exact fractional width. Check(FHD,k) is not a lane: it is
+//	      complete only on the paper's tractable classes, so a rejection
+//	      proves nothing and its acceptances only duplicate the
+//	      heuristic upper bounds above.
+
+// exactVertexLimit gates the exact elimination DP: beyond this many
+// vertices per block the DP's dense tables stop paying off and the
+// deepening/heuristic strategies carry the portfolio.
+const exactVertexLimit = 20
+
+// satOrdLimit gates the sat-ord strategies by block vertex count: the
+// encoding is Θ(n³) clauses, which near 64 vertices is ~500k — still
+// fine; beyond it the propagation alone stops paying.
+const satOrdLimit = 64
 
 // blockResult carries the outcome for one block.
 type blockResult struct {
@@ -191,29 +206,22 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 		r.offerUpper(d.Width(), d, "trivial-ub", ProvHeuristic)
 	}
 
-	maxK := opt.MaxK
-	if maxK <= 0 {
-		maxK = bh.NumEdges()
-	}
-	exactLimit := opt.ExactVertexLimit
-	if exactLimit <= 0 {
-		exactLimit = defaultExactVertexLimit
-	}
+	maxK := bh.NumEdges()
 
 	type strat struct {
 		name string
 		run  func()
 	}
 	var strategies []strat
-	satGate := nv > 1 && nv <= satOrdLimit(opt)
+	satGate := nv > 1 && nv <= satOrdLimit
 	switch opt.Measure {
 	case HW:
 		strategies = append(strategies, strat{"detk", func() { deepenHD(bctx, bh, r, maxK, tr, blk) }})
 		if satGate {
-			strategies = append(strategies, strat{"sat-ord-lb", func() { deepenSATOrdHWLower(bctx, bh, r, opt, maxK, tr, blk) }})
+			strategies = append(strategies, strat{"sat-ord-lb", func() { deepenSATOrdHWLower(bctx, bh, r, maxK, tr, blk) }})
 		}
 	case GHW:
-		if nv <= exactLimit {
+		if nv <= exactVertexLimit {
 			strategies = append(strategies, strat{"exact-dp", func() {
 				if w, d, err := core.ExactGHWCtx(bctx, bh); err == nil && d != nil {
 					r.offerExact(lp.RI(int64(w)), d, "exact-dp")
@@ -237,10 +245,10 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 			strat{"bip", func() { deepenGHDViaBIP(bctx, bh, r, maxK, tr, blk) }},
 		)
 		if satGate {
-			strategies = append(strategies, strat{"sat-ord", func() { deepenSATOrdGHW(bctx, bh, r, opt, maxK, tr, blk) }})
+			strategies = append(strategies, strat{"sat-ord", func() { deepenSATOrdGHW(bctx, bh, r, maxK, tr, blk) }})
 		}
 	case FHW:
-		if nv <= exactLimit {
+		if nv <= exactVertexLimit {
 			strategies = append(strategies, strat{"exact-dp", func() {
 				if w, d, err := core.ExactFHWCtx(bctx, bh); err == nil && d != nil {
 					r.offerExact(w, d, "exact-dp")
@@ -261,10 +269,9 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 				}
 			}},
 			strat{"approx-logn", func() { runApproxLogN(bctx, bh, r, opt, tr, blk) }},
-			strat{"fhd-check", func() { deepenFHDCheck(bctx, bh, r, maxK, tr, blk) }},
 		)
 		if satGate {
-			strategies = append(strategies, strat{"sat-ord", func() { deepenSATOrdFHW(bctx, bh, r, opt, maxK, tr, blk) }})
+			strategies = append(strategies, strat{"sat-ord", func() { deepenSATOrdFHW(bctx, bh, r, maxK, tr, blk) }})
 		}
 	}
 
@@ -357,55 +364,6 @@ func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, maxK int,
 		r.raiseLower(lp.RI(int64(k+1)), "detk")
 		if r.upperBelow(k + 1) {
 			return // bounds met; closeIfMet already declared exactness
-		}
-	}
-}
-
-// deepenFHDCheck runs Check(FHD,k) over integer levels from the clique
-// bound as an fhw upper-bound strategy. An acceptance at level k yields
-// a witness whose actual (possibly fractional) width is offered as the
-// upper bound — often strictly below k, e.g. 3/2 on triangle blocks. A
-// rejection raises no lower bound: the procedure's h_{d,k} fallback
-// closure is not complete for every hypergraph, so only acceptances are
-// trusted. If the lazy generation or support enumeration exceeds its
-// caps the strategy retires and leaves the field to the others.
-//
-// Since PR 5 no subedge pool is precomputed: CheckFHD generates f⁺
-// atoms lazily per subproblem scope (and warm-starts the cover LPs), so
-// levels that accept on original-edge atoms never pay for a closure.
-// The lazily interned pool dies with each level's engine; nothing of it
-// reaches the result cache, whose sizing still sees only witnesses.
-//
-// Since PR 6 the levels share one warm-basis cache: the cover LP is
-// k-independent (k only thresholds the optimum), so level k+1 seeds its
-// per-scope solves from the bases level k retired. The cache must not
-// outlive the deepening loop — it is keyed on this hypergraph's
-// positional vertex numbering and the strategy goroutines each own
-// their loop, so sharing wider would race.
-func deepenFHDCheck(ctx context.Context, bh *hypergraph.Hypergraph, r *race, maxK int, tr *telemetry.Trace, blk int) {
-	basis := cover.NewBasisCache(0)
-	var es *core.EngineStats
-	if tr != nil {
-		es = &core.EngineStats{}
-	}
-	// The retired loop's basis-cache and warm-LP aggregates feed the
-	// process counters (and the trace) even on early return.
-	defer func() { flushBasis(tr, basis, es) }()
-	for k := r.snapshotLower(); k <= maxK; k++ {
-		mDeepenSteps.With("fhd-check").Inc()
-		tr.Deepen(blk, "fhd-check", k)
-		d, err := core.CheckFHDCtx(ctx, bh, lp.RI(int64(k)), core.FHDOptions{Basis: basis, Stats: es})
-		if err != nil {
-			return // context done or closure cap exceeded
-		}
-		if d != nil {
-			r.offerUpper(d.Width(), d, "fhd-check", ProvHeuristic)
-			return
-		}
-		if r.upperBelow(k) {
-			// Rejection at k means deeper acceptances land above k (when
-			// the closure is complete); an incumbent at ≤ k already wins.
-			return
 		}
 	}
 }

@@ -30,29 +30,13 @@ import (
 	"hypertree/internal/telemetry"
 )
 
-// defaultSATOrdLimit is the block vertex-count gate for the sat-ord
-// strategy: the encoding is Θ(n³) clauses, which near 64 vertices is
-// ~500k — still fine; beyond it the propagation alone stops paying.
-const defaultSATOrdLimit = 64
-
-// satOrdLimit resolves the option field to an effective gate.
-func satOrdLimit(opt Options) int {
-	switch {
-	case opt.SATOrdLimit < 0:
-		return 0
-	case opt.SATOrdLimit == 0:
-		return defaultSATOrdLimit
-	}
-	return opt.SATOrdLimit
-}
-
 // ctxDone adapts a context to the solver's done-channel cancellation.
 func ctxDone(ctx context.Context) <-chan struct{} { return ctx.Done() }
 
 // deepenSATOrdGHW races the ordering encoding on the ghw measure. Every
 // UNSAT level is a proven lower bound; the first SAT level after them
 // is exact with a validated GHD witness.
-func deepenSATOrdGHW(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int) {
+func deepenSATOrdGHW(ctx context.Context, bh *hypergraph.Hypergraph, r *race, maxK int, tr *telemetry.Trace, blk int) {
 	kCap := r.snapshotLower() + 2
 	s, err := ordenc.NewGHWSearch(bh, kCap)
 	if err != nil {
@@ -81,7 +65,7 @@ func deepenSATOrdGHW(ctx context.Context, bh *hypergraph.Hypergraph, r *race, op
 // encoding rejects is below ghw ≤ hw. It never offers witnesses — an
 // accepted ordering is a GHD, not necessarily an HD — and retires on
 // the first SAT level, leaving the upper bound to detk.
-func deepenSATOrdHWLower(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int) {
+func deepenSATOrdHWLower(ctx context.Context, bh *hypergraph.Hypergraph, r *race, maxK int, tr *telemetry.Trace, blk int) {
 	kCap := r.snapshotLower() + 2
 	s, err := ordenc.NewGHWSearch(bh, kCap)
 	if err != nil {
@@ -106,14 +90,14 @@ func deepenSATOrdHWLower(ctx context.Context, bh *hypergraph.Hypergraph, r *race
 // levels until a SAT level yields a witness at its exact priced width,
 // then RefineBelow sweeps the width down; the final UNSAT proves the
 // incumbent exact.
-func deepenSATOrdFHW(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int) {
-	s, err := ordenc.NewFHWSearch(bh, nil)
+func deepenSATOrdFHW(ctx context.Context, bh *hypergraph.Hypergraph, r *race, maxK int, tr *telemetry.Trace, blk int) {
+	s, err := ordenc.NewFHWSearch(bh)
 	if err != nil {
 		return
 	}
 	defer func() {
 		flushSAT(tr, s.Stats())
-		flushBasis(tr, s.Basis(), nil)
+		flushBasis(tr, s.Basis())
 	}()
 	done := ctxDone(ctx)
 	for k := r.snapshotLower(); k <= maxK; k++ {

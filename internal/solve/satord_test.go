@@ -2,14 +2,17 @@ package solve
 
 import (
 	"context"
+	"math/big"
 	"testing"
 
+	"hypertree/internal/core"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
 )
 
-// TestSATOrdSolveDifferential runs full solves with the sat-ord
-// strategy racing and with it disabled; widths must agree exactly and
+// TestSATOrdSolveDifferential runs full solves, with the sat-ord lanes
+// racing, against the reference widths of internal/core (exact DP for
+// ghw/fhw, Check(HD,k) deepening for hw): widths must agree exactly and
 // witnesses must validate (Validate: true re-checks them).
 func TestSATOrdSolveDifferential(t *testing.T) {
 	cases := []struct {
@@ -22,23 +25,31 @@ func TestSATOrdSolveDifferential(t *testing.T) {
 		{"clique5", hypergraph.Clique(5)},
 		{"hypercycle6-3-1", hypergraph.HyperCycle(6, 3, 1)},
 	}
+	reference := func(m Measure, h *hypergraph.Hypergraph) *big.Rat {
+		switch m {
+		case HW:
+			w, _ := core.HW(h, 0)
+			return lp.RI(int64(w))
+		case GHW:
+			w, _ := core.ExactGHW(h)
+			return lp.RI(int64(w))
+		}
+		w, _ := core.ExactFHW(h)
+		return w
+	}
 	for _, m := range []Measure{HW, GHW, FHW} {
 		for _, tc := range cases {
 			t.Run(m.String()+"/"+tc.name, func(t *testing.T) {
-				on, err := Solve(context.Background(), tc.h, Options{Measure: m, Validate: true})
+				got, err := Solve(context.Background(), tc.h, Options{Measure: m, Validate: true})
 				if err != nil {
-					t.Fatalf("solve with sat-ord: %v", err)
+					t.Fatalf("solve: %v", err)
 				}
-				off, err := Solve(context.Background(), tc.h, Options{Measure: m, Validate: true, SATOrdLimit: -1})
-				if err != nil {
-					t.Fatalf("solve without sat-ord: %v", err)
+				if !got.Exact {
+					t.Fatalf("not exact: [%v, %v]", got.Lower, got.Upper)
 				}
-				if !on.Exact || !off.Exact {
-					t.Fatalf("exactness: with=%v without=%v", on.Exact, off.Exact)
-				}
-				if on.Upper.Cmp(off.Upper) != 0 {
-					t.Fatalf("width with sat-ord %s, without %s",
-						on.Upper.RatString(), off.Upper.RatString())
+				if want := reference(m, tc.h); got.Upper.Cmp(want) != 0 {
+					t.Fatalf("width %s (strategy %s), reference %s",
+						got.Upper.RatString(), got.Strategy, want.RatString())
 				}
 			})
 		}
@@ -56,7 +67,7 @@ func TestSATOrdReuseFlushed(t *testing.T) {
 	r.res.lower = lp.RI(1)
 
 	before := TelemetrySnapshot()
-	deepenSATOrdGHW(ctx, bh, r, Options{}, bh.NumEdges(), nil, 0)
+	deepenSATOrdGHW(ctx, bh, r, bh.NumEdges(), nil, 0)
 	after := TelemetrySnapshot()
 
 	if !r.res.exact || r.res.upper.Cmp(lp.RI(2)) != 0 {
@@ -70,19 +81,5 @@ func TestSATOrdReuseFlushed(t *testing.T) {
 	}
 	if after.SATLearned <= before.SATLearned {
 		t.Error("SATLearned did not increase")
-	}
-}
-
-// TestSATOrdGateDisables checks the negative limit fully disables the
-// strategy (no solver calls land in the counters).
-func TestSATOrdGateDisables(t *testing.T) {
-	before := TelemetrySnapshot().SATSolves
-	_, err := Solve(context.Background(), hypergraph.Grid(3, 3),
-		Options{Measure: GHW, SATOrdLimit: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := TelemetrySnapshot().SATSolves - before; d != 0 {
-		t.Errorf("SATSolves delta = %d with sat-ord disabled, want 0", d)
 	}
 }

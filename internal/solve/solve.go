@@ -2,15 +2,15 @@
 // an end-to-end width service: a preprocessing pipeline (drop empty /
 // duplicate / subsumed edges, split on biconnected components of the
 // primal graph), a concurrent portfolio that races bounded strategies —
-// clique lower bounds, iterative deepening on Check(HD,k),
-// Check(GHD,k)-via-BIP and Check(FHD,k) starting at the clique bound,
-// the exact elimination DP for small pieces, min-fill upper bounds —
-// under context deadlines with a shared incumbent, recombination of the
-// per-piece witnesses into one validated decomposition, and a
-// fingerprint-keyed result cache (bounded by entries and by retained
-// bytes) for repeated queries. cmd/hgserve exposes it over HTTP;
-// cmd/hgwidth and the E12 corpus experiment in cmd/hgbench drive it
-// from the command line.
+// clique lower bounds, iterative deepening on Check(HD,k) and
+// Check(GHD,k)-via-BIP starting at the clique bound, the exact
+// elimination DP for small pieces, the SAT ordering encoding, min-fill
+// and approximation-ladder upper bounds — under context deadlines with
+// a shared incumbent, recombination of the per-piece witnesses into one
+// validated decomposition, and a fingerprint-keyed result cache
+// (bounded by entries and by retained bytes) for repeated queries.
+// cmd/hgserve exposes it over HTTP; cmd/hgwidth and the E12 corpus
+// experiment in cmd/hgbench drive it from the command line.
 package solve
 
 import (
@@ -74,12 +74,10 @@ func ParseMeasure(s string) (Measure, error) {
 	return 0, fmt.Errorf("solve: unknown measure %q (want hw, ghw or fhw)", s)
 }
 
-// defaultExactVertexLimit gates the exact elimination DP: beyond this
-// many vertices per block the DP's dense tables stop paying off and the
-// deepening/heuristic strategies carry the portfolio.
-const defaultExactVertexLimit = 20
-
-// Options configure one Solve call.
+// Options configure one Solve call. The portfolio's lane set, size
+// gates and deepening cap are fixed (see portfolio.go); the options
+// only choose the measure, the budget and the pipeline's optional
+// stages.
 type Options struct {
 	// Measure selects the width measure (default GHW).
 	Measure Measure
@@ -87,10 +85,6 @@ type Options struct {
 	// alone governs cancellation. On expiry Solve returns the best
 	// bounds proven so far with Partial set.
 	Timeout time.Duration
-	// MaxK caps the iterative-deepening strategies (0 = |E| per block).
-	MaxK int
-	// ExactVertexLimit overrides the exact-DP size gate (0 = 20).
-	ExactVertexLimit int
 	// NoPreprocess disables the simplification pipeline and solves the
 	// input as a single piece.
 	NoPreprocess bool
@@ -98,11 +92,6 @@ type Options struct {
 	// hypergraph before returning (the property tests always do; the
 	// server does on /decompose).
 	Validate bool
-	// SATOrdLimit gates the ordering-based SAT strategy by block vertex
-	// count: blocks larger than the limit skip it (the encoding is
-	// Θ(n³) clauses). 0 applies the default (64); negative disables the
-	// strategy entirely.
-	SATOrdLimit int
 }
 
 // Provenance classifies the guarantee behind a result's upper bound —
@@ -122,7 +111,7 @@ const (
 	ProvApproxCertified Provenance = "approx-certified"
 	// ProvHeuristic: the witness is sound (it validates) but carries no
 	// a-priori quality guarantee (min-fill, trivial single-bag covers,
-	// unproven deepening acceptances).
+	// sat-ord fhw incumbents before its exactness sweep closes).
 	ProvHeuristic Provenance = "heuristic"
 )
 

@@ -58,32 +58,70 @@ func TestSolveTracedHW(t *testing.T) {
 	}
 }
 
-// TestDeepenFHDTrace drives the fhd-check loop directly (no racing
-// strategies) and checks the warm-LP, basis-cache and engine counters
-// it flushes into the trace.
-func TestDeepenFHDTrace(t *testing.T) {
+// TestDeepenBIPTrace drives the bip deepening loop directly (no racing
+// strategies) and checks the k-trajectory and the engine counters it
+// flushes into the trace.
+func TestDeepenBIPTrace(t *testing.T) {
 	bctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r := &race{cancel: cancel}
 	r.res.lower = lp.RI(1)
 	tr := telemetry.NewTrace()
-	deepenFHDCheck(bctx, hypergraph.Clique(3), r, 4, tr, 0)
-	if r.res.upper == nil {
-		t.Fatal("fhd-check found no witness")
+	deepenGHDViaBIP(bctx, hypergraph.Clique(3), r, 4, tr, 0) // ghw(K3) = 2
+	if !r.res.exact || r.res.upper.Cmp(lp.RI(2)) != 0 {
+		t.Fatalf("bip on K3: exact=%v upper=%v, want exact 2", r.res.exact, r.res.upper)
 	}
 	sum := tr.Summary()
-	if traj := sum.KTrajectory("fhd-check"); len(traj) != 2 || traj[0] != 1 || traj[1] != 2 {
-		t.Fatalf("fhd-check k-trajectory = %v, want [1 2]", traj)
+	if traj := sum.KTrajectory("bip"); len(traj) != 2 || traj[0] != 1 || traj[1] != 2 {
+		t.Fatalf("bip k-trajectory = %v, want [1 2]", traj)
 	}
-	c := sum.Counters
+	if c := sum.Counters; c.EngineSubproblems == 0 || c.DynResets == 0 {
+		t.Fatalf("engine counters missing: %+v", c)
+	}
+}
+
+// TestSATOrdFHWTrace drives the sat-ord fhw loop directly and checks the
+// warm-LP and basis-cache counters it flushes into the trace.
+func TestSATOrdFHWTrace(t *testing.T) {
+	bctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := &race{cancel: cancel}
+	r.res.lower = lp.RI(1)
+	tr := telemetry.NewTrace()
+	deepenSATOrdFHW(bctx, hypergraph.Clique(3), r, 4, tr, 0) // fhw(K3) = 3/2
+	if !r.res.exact || r.res.upper.Cmp(lp.R(3, 2)) != 0 {
+		t.Fatalf("sat-ord on K3: exact=%v upper=%v, want exact 3/2", r.res.exact, r.res.upper)
+	}
+	c := tr.Summary().Counters
 	if c.LPSolves == 0 || c.LPSolves != c.LPCold+c.LPNoop+c.LPPrimal+c.LPDual {
 		t.Fatalf("LP path mix does not partition the solves: %+v", c)
 	}
 	if c.BasisHits+c.BasisMisses == 0 {
 		t.Fatalf("basis cache counters missing: %+v", c)
 	}
-	if c.EngineSubproblems == 0 || c.DynResets == 0 {
-		t.Fatalf("engine counters missing: %+v", c)
+}
+
+// TestImproveYieldTraced: every strictly tighter witness local-improve
+// publishes must reach the trace as well as the process counter, so
+// the trace's improved/passes ratio reads the true yield. The trivial
+// single-bag witness of K5 carries an integral cover of weight 3;
+// repricing it fractionally tightens it to 5/2.
+func TestImproveYieldTraced(t *testing.T) {
+	bh := hypergraph.Clique(5)
+	base := trivialDecomp(bh, FHW)
+	bctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := &race{cancel: cancel}
+	r.res.lower = lp.RI(1)
+	r.offerUpper(base.Width(), base, "trivial-ub", ProvHeuristic)
+	tr := telemetry.NewTrace()
+	improveWitness(bctx, bh, r, base, ProvHeuristic, Options{Measure: FHW}, tr, 0)
+	if r.res.upper.Cmp(base.Width()) >= 0 {
+		t.Fatalf("Improve did not tighten the trivial witness (width %s)", base.Width().RatString())
+	}
+	c := tr.Summary().Counters
+	if c.ApproxImproved == 0 || c.ApproxImprovePasses == 0 {
+		t.Fatalf("improvement yield missing from the trace: %+v", c)
 	}
 }
 

@@ -42,11 +42,11 @@ func TestNilTraceIsSafe(t *testing.T) {
 func TestTraceEventsAndCounters(t *testing.T) {
 	tr := NewTrace()
 	tr.Eventf("preprocess", "isolated=%d removed=%d blocks=%d", 0, 1, 2)
-	tr.StrategyStart(1, "fhd-check")
-	tr.Deepen(1, "fhd-check", 2)
-	tr.Deepen(1, "fhd-check", 3)
+	tr.StrategyStart(1, "sat-ord")
+	tr.Deepen(1, "sat-ord", 2)
+	tr.Deepen(1, "sat-ord", 3)
 	tr.Deepen(1, "bip", 2)
-	tr.StrategyEnd(1, "fhd-check", 5*time.Millisecond, "winner")
+	tr.StrategyEnd(1, "sat-ord", 5*time.Millisecond, "winner")
 	tr.AddCounters(Counters{LPSolves: 10, LPCold: 2, BasisHits: 4})
 	tr.AddCounters(Counters{LPSolves: 5, BasisMisses: 1})
 
@@ -65,8 +65,8 @@ func TestTraceEventsAndCounters(t *testing.T) {
 	if c := s.Counters; c.LPSolves != 15 || c.LPCold != 2 || c.BasisHits != 4 || c.BasisMisses != 1 {
 		t.Fatalf("counters not accumulated: %+v", c)
 	}
-	if ks := s.KTrajectory("fhd-check"); len(ks) != 2 || ks[0] != 2 || ks[1] != 3 {
-		t.Fatalf("KTrajectory(fhd-check) = %v, want [2 3]", ks)
+	if ks := s.KTrajectory("sat-ord"); len(ks) != 2 || ks[0] != 2 || ks[1] != 3 {
+		t.Fatalf("KTrajectory(sat-ord) = %v, want [2 3]", ks)
 	}
 	if ks := s.KTrajectory(""); len(ks) != 3 {
 		t.Fatalf("KTrajectory(all) = %v, want 3 entries", ks)
