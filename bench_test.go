@@ -299,8 +299,27 @@ func BenchmarkE14Transforms(b *testing.B) {
 
 // BenchmarkExactDPScaling — the exact elimination DP ([42]) versus the
 // polynomial BIP check: the shape the tractability theorems predict
-// (exponential vs polynomial growth in n).
+// (exponential vs polynomial growth in n). The fhw legs run the DP on
+// instances whose bags need LPs (no single edge covers them), so they
+// time the DP's bag pricing.
 func BenchmarkExactDPScaling(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+		fhw  *big.Rat
+	}{
+		{"fhw_grid3x4", hypergraph.Grid(3, 4), lp.RI(2)},
+		{"fhw_hypercycle6-3-1", hypergraph.HyperCycle(6, 3, 1), lp.RI(2)},
+		{"fhw_clique8", hypergraph.Clique(8), lp.RI(4)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if w, _ := core.ExactFHW(tc.h); w.Cmp(tc.fhw) != 0 {
+					b.Fatalf("fhw = %v, want %v", w, tc.fhw)
+				}
+			}
+		})
+	}
 	for _, n := range []int{8, 10, 12, 14} {
 		b.Run(fmt.Sprintf("exact_n=%d", n), func(b *testing.B) {
 			g := hypergraph.Cycle(n)

@@ -40,7 +40,8 @@
 // pivot. The hypergraph core underneath is incidence-indexed: per-vertex
 // edge bitsets back edges(C), [C]-components and single-edge cover
 // detection; memo keys are interned integers; the exact-width DP keeps
-// big.Rat arithmetic out of its inner loop.
+// big.Rat arithmetic out of its inner loop and prices the fhw bags of
+// one run through a single warm cover.TargetLP.
 // PERFORMANCE.md documents the design and the measured speedups.
 //
 // On top of the algorithms, internal/solve is the serving layer: a

@@ -6,6 +6,7 @@ import (
 
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
+	"hypertree/internal/lp"
 )
 
 // Context-aware entry points for the long-running searches. The searches
@@ -97,9 +98,9 @@ func ExactGHWCtx(ctx context.Context, h *hypergraph.Hypergraph) (w int, d *decom
 		return -1, nil, err
 	}
 	defer recoverCanceled(ctx, &err)
-	s := newExactState(h, ghwBagCost(h))
+	s := newExactState(h, true)
 	s.stopCh = ctx.Done()
-	r, d := s.run(true)
+	r, d := s.run()
 	if r == nil {
 		return -1, nil, nil
 	}
@@ -108,13 +109,27 @@ func ExactGHWCtx(ctx context.Context, h *hypergraph.Hypergraph) (w int, d *decom
 
 // ExactFHWCtx is ExactFHW under a context.
 func ExactFHWCtx(ctx context.Context, h *hypergraph.Hypergraph) (w *big.Rat, d *decomp.Decomp, err error) {
+	return ExactFHWStatsCtx(ctx, h, nil)
+}
+
+// ExactFHWStatsCtx is ExactFHWCtx with an optional LP-stats sink: when
+// stats is non-nil the run's pricing-LP counters are added to it on
+// return, cancelled returns included. Pass nil otherwise.
+func ExactFHWStatsCtx(ctx context.Context, h *hypergraph.Hypergraph, stats *lp.WarmStats) (w *big.Rat, d *decomp.Decomp, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	defer recoverCanceled(ctx, &err)
-	s := newExactState(h, fhwBagCost(h))
+	s := newExactState(h, false)
 	s.stopCh = ctx.Done()
-	w, d = s.run(false)
+	if stats != nil {
+		defer func() {
+			if s.fracLP != nil {
+				stats.Add(s.fracLP.Stats())
+			}
+		}()
+	}
+	defer recoverCanceled(ctx, &err)
+	w, d = s.run()
 	return w, d, nil
 }
 

@@ -88,11 +88,14 @@ func TestCheckGHDViaBIPOnH0(t *testing.T) {
 func TestExactWidthsOnKnownFamilies(t *testing.T) {
 	// Cliques: ghw(K_n) = fhw... bags must contain the whole clique
 	// (Lemma 2.8), so fhw(K_n) = ρ*(K_n) = n/2 and ghw(K_n) = ⌈n/2⌉.
-	for n := 3; n <= 6; n++ {
+	for n := 3; n <= 10; n++ {
 		k := hypergraph.Clique(n)
 		fhw, _ := ExactFHW(k)
 		if fhw.Cmp(lp.R(int64(n), 2)) != 0 {
 			t.Errorf("fhw(K%d) = %v, want %d/2", n, fhw, n)
+		}
+		if n > 6 {
+			continue
 		}
 		ghw, _ := ExactGHW(k)
 		if ghw != (n+1)/2 {
@@ -103,6 +106,13 @@ func TestExactWidthsOnKnownFamilies(t *testing.T) {
 	c := hypergraph.Cycle(7)
 	if g, _ := ExactGHW(c); g != 2 {
 		t.Errorf("ghw(C7) = %d, want 2", g)
+	}
+	// fhw(C_n) = 2 for n ≥ 4: the ends of a 3-vertex path bag share no
+	// edge, so the fractional cover cannot drop below 2.
+	for n := 4; n <= 16; n++ {
+		if f, _ := ExactFHW(hypergraph.Cycle(n)); f.Cmp(lp.RI(2)) != 0 {
+			t.Errorf("fhw(C%d) = %v, want 2", n, f)
+		}
 	}
 	// Acyclic: width 1.
 	p := hypergraph.Path(5)

@@ -30,7 +30,11 @@ import (
 // vertices all lie in one edge costs exactly 1 without touching the LP
 // (the dominant case by far), and the per-state minimization evaluates the
 // cheapest subproblem first so bag costs of provably non-improving
-// candidates (sub ≥ best) are never computed at all.
+// candidates (sub ≥ best) are never computed at all. The fhw bags that do
+// need an LP are all priced through one warm cover.TargetLP per run: its
+// scope is the block's vertex set, which the portfolio keeps at ≤ 20, so
+// each bag re-solves from the previous bag's basis in a few pivots
+// instead of building and cold-starting its own LP.
 
 const maxExactVertices = 64
 
@@ -94,14 +98,14 @@ const infeasible = int32(-1)
 
 // exactState carries one exact-width DP run.
 type exactState struct {
-	h       *hypergraph.Hypergraph
-	n       int
-	adj     []uint64 // primal-graph adjacency masks
-	bagCost func(bag uint64) *big.Rat
-	costMem map[uint64]int32 // bag mask → pooled cost id (or infeasible)
-	pool    ratPool
-	zeroID  int32
-	oneID   int32
+	h        *hypergraph.Hypergraph
+	n        int
+	adj      []uint64         // primal-graph adjacency masks
+	integral bool             // ρ bag costs (ghw); ρ* (fhw) otherwise
+	costMem  map[uint64]int32 // bag mask → pooled cost id (or infeasible)
+	pool     ratPool
+	zeroID   int32
+	oneID    int32
 
 	// DP tables. memo/choice are dense slices indexed by the subset mask
 	// when dense is set, hashed maps otherwise. Memo values are pooled
@@ -113,51 +117,62 @@ type exactState struct {
 	memoM   map[uint64]int32
 	choiceM map[uint64]int
 
-	// Cooperative cancellation (cancel.go): polled in f().
+	// Cooperative cancellation (cancel.go): polled in f() and handed to
+	// the pricing LP.
 	stopCh <-chan struct{}
 	steps  uint32
+
+	// fracLP prices every fhw bag of the run, built on first use.
+	fracLP *cover.TargetLP
 
 	bagScratch hypergraph.VertexSet
 }
 
-// fhwBagCost returns the ρ* bag-cost oracle of the fhw DP.
-func fhwBagCost(h *hypergraph.Hypergraph) func(uint64) *big.Rat {
-	return func(bag uint64) *big.Rat {
-		w, _ := cover.FractionalEdgeCover(h, maskToSet(bag, h.NumVertices()))
+// bagCost returns the cost of the bag held in set: ρ(set) when integral,
+// ρ*(set) otherwise; nil when no cover exists.
+func (s *exactState) bagCost(set hypergraph.VertexSet) *big.Rat {
+	if !s.integral {
+		w := s.pricingLP().Rho(set)
+		if w == nil {
+			pollCancel(s.stopCh)
+		}
 		return w
 	}
+	c := cover.EdgeCover(s.h, set, 0)
+	if c == nil {
+		return nil
+	}
+	return lp.RI(int64(len(c)))
 }
 
-// ghwBagCost returns the ρ bag-cost oracle of the ghw DP (nil = no
-// integral cover exists).
-func ghwBagCost(h *hypergraph.Hypergraph) func(uint64) *big.Rat {
-	return func(bag uint64) *big.Rat {
-		c := cover.EdgeCover(h, maskToSet(bag, h.NumVertices()), 0)
-		if c == nil {
-			return nil
-		}
-		return lp.RI(int64(len(c)))
+// pricingLP returns the run's warm ρ* LP over all vertices, building it
+// on first use. Its solves poll stopCh and return nil once it fires; the
+// callers then unwind through pollCancel, so a canceled solve is never
+// memoized as an infeasible bag.
+func (s *exactState) pricingLP() *cover.TargetLP {
+	if s.fracLP == nil {
+		s.fracLP = cover.NewTargetLP(s.h, s.h.Vertices())
+		s.fracLP.SetDone(s.stopCh)
 	}
+	return s.fracLP
 }
 
 // ExactFHW computes fhw(h) exactly together with an optimal FHD. It
 // panics if h has more than 64 vertices; callers should gate on size.
 func ExactFHW(h *hypergraph.Hypergraph) (*big.Rat, *decomp.Decomp) {
-	s := newExactState(h, fhwBagCost(h))
-	return s.run(false)
+	return newExactState(h, false).run()
 }
 
 // ExactGHW computes ghw(h) exactly together with an optimal GHD.
 func ExactGHW(h *hypergraph.Hypergraph) (int, *decomp.Decomp) {
-	s := newExactState(h, ghwBagCost(h))
-	w, d := s.run(true)
+	w, d := newExactState(h, true).run()
 	if w == nil {
 		return -1, nil
 	}
 	return int(w.Num().Int64()), d
 }
 
-func newExactState(h *hypergraph.Hypergraph, bagCost func(uint64) *big.Rat) *exactState {
+func newExactState(h *hypergraph.Hypergraph, integral bool) *exactState {
 	n := h.NumVertices()
 	if n > maxExactVertices {
 		panic("core: exact width computation limited to 64 vertices")
@@ -172,7 +187,7 @@ func newExactState(h *hypergraph.Hypergraph, bagCost func(uint64) *big.Rat) *exa
 		adj[v] = m
 	}
 	s := &exactState{
-		h: h, n: n, adj: adj, bagCost: bagCost,
+		h: h, n: n, adj: adj, integral: integral,
 		costMem:    map[uint64]int32{},
 		bagScratch: hypergraph.NewVertexSet(n),
 	}
@@ -241,7 +256,7 @@ func (s *exactState) cost(set uint64, v int) int32 {
 	s.bagScratch = maskToSetInto(s.bagScratch, bag)
 	if s.h.CoveringEdge(s.bagScratch) >= 0 {
 		c = s.oneID
-	} else if r := s.bagCost(bag); r != nil {
+	} else if r := s.bagCost(s.bagScratch); r != nil {
 		c = s.pool.id(r)
 	} else {
 		c = infeasible
@@ -352,9 +367,9 @@ func (s *exactState) f(set uint64) int32 {
 	return best
 }
 
-// run executes the DP and reconstructs a decomposition; integral selects
-// integral covers for the bags.
-func (s *exactState) run(integral bool) (*big.Rat, *decomp.Decomp) {
+// run executes the DP and reconstructs a decomposition, covering each
+// bag integrally (ghw) or through the run's pricing LP (fhw).
+func (s *exactState) run() (*big.Rat, *decomp.Decomp) {
 	if s.n == 0 || s.h.NumEdges() == 0 {
 		return nil, nil
 	}
@@ -417,13 +432,13 @@ func (s *exactState) run(integral bool) (*big.Rat, *decomp.Decomp) {
 		}
 		bag := maskToSet(bags[i], s.n)
 		var cov cover.Fractional
-		if integral {
+		if s.integral {
 			cov = cover.Fractional{}
 			for _, e := range cover.EdgeCover(s.h, bag, 0) {
 				cov[e] = lp.RI(1)
 			}
-		} else {
-			_, cov = cover.FractionalEdgeCover(s.h, bag)
+		} else if _, cov = s.pricingLP().Solve(bag); cov == nil {
+			pollCancel(s.stopCh)
 		}
 		ids[i] = d.AddNode(parent, bag, cov)
 	}

@@ -173,7 +173,9 @@ const maxPACEDecl = 1 << 26
 // Every edge id in 1..m must occur exactly once.
 func decodePACE(data []byte) (*hypergraph.Hypergraph, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
+	// Size the first buffer to the input (a small instance should not pay
+	// for 64 KiB); the scanner still grows it up to the 8 MiB line cap.
+	sc.Buffer(make([]byte, 0, min(len(data)+1, 64<<10)), 8<<20)
 	h := hypergraph.New()
 	n, m := 0, 0
 	sawHeader := false

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -119,6 +120,42 @@ func TestDecodePACEErrors(t *testing.T) {
 		if _, err := DecodeAs([]byte(in), FormatPACE); err == nil {
 			t.Errorf("%s: decoded %q without error", name, in)
 		}
+	}
+}
+
+// TestDecodePACESmallAllocs pins the decoder's memory on a small input:
+// its scanner buffer is sized to the input, not a fixed 64 KiB.
+func TestDecodePACESmallAllocs(t *testing.T) {
+	data := []byte(trianglePACE)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeAs(data, FormatPACE); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 8<<10 {
+		t.Fatalf("decoding a 3-edge PACE input allocates %d B/op, want ≤ 8 KiB", got)
+	}
+}
+
+// TestDecodePACELongLine: a line longer than the scanner's first buffer
+// still decodes (the buffer grows up to the 8 MiB line cap).
+func TestDecodePACELongLine(t *testing.T) {
+	const n = 20000 // the edge line is ~118 KB
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "p htd %d 1\n1", n)
+	for v := 1; v <= n; v++ {
+		fmt.Fprintf(&sb, " %d", v)
+	}
+	sb.WriteString("\n")
+	h, err := DecodeAs([]byte(sb.String()), FormatPACE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.NumVertices() != n || h.NumEdges() != 1 {
+		t.Fatalf("decoded %d vertices, %d edges; want %d, 1", h.NumVertices(), h.NumEdges(), n)
 	}
 }
 

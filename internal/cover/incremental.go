@@ -312,6 +312,22 @@ func (tl *TargetLP) addVertex(v int) {
 // of h, or (nil, nil) if some target vertex lies in no edge. ws must be
 // a subset of the scope.
 func (tl *TargetLP) Solve(ws hypergraph.VertexSet) (*big.Rat, Fractional) {
+	w := tl.Rho(ws)
+	if w == nil {
+		return nil, nil
+	}
+	g := Fractional{}
+	for i, e := range tl.edges {
+		if d := tl.wp.RowDual(tl.rowIDs[i]); d.Sign() > 0 {
+			g[e] = new(big.Rat).Set(d)
+		}
+	}
+	return w, g
+}
+
+// Rho is Solve without the cover: ρ*(ws), or nil if some target vertex
+// lies in no edge.
+func (tl *TargetLP) Rho(ws hypergraph.VertexSet) *big.Rat {
 	// Diff the previous target against the requested one.
 	tl.target.ForEach(func(v int) bool {
 		if !ws.Has(v) {
@@ -330,23 +346,17 @@ func (tl *TargetLP) Solve(ws hypergraph.VertexSet) (*big.Rat, Fractional) {
 	})
 	tl.target = tl.target.CopyFrom(ws)
 	if tl.nocover > 0 {
-		return nil, nil
+		return nil
 	}
 	st, err := tl.wp.Solve()
 	if err != nil || st != lp.Optimal {
-		return nil, nil
+		return nil
 	}
-	g := Fractional{}
-	for i, e := range tl.edges {
-		if d := tl.wp.RowDual(tl.rowIDs[i]); d.Sign() > 0 {
-			g[e] = new(big.Rat).Set(d)
-		}
-	}
-	return tl.wp.Value(), g
+	return tl.wp.Value()
 }
 
-// SetDone makes later Solves poll done before every pivot and return
-// (nil, nil) once it is closed; Reset clears it.
+// SetDone makes later solves poll done before every pivot and fail
+// (nil results) once it is closed; Reset clears it.
 func (tl *TargetLP) SetDone(done <-chan struct{}) { tl.wp.SetDone(done) }
 
 // Stats exposes the underlying engine counters.

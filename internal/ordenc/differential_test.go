@@ -7,7 +7,9 @@ package ordenc_test
 // internal/solve, which imports ordenc) without a build cycle.
 
 import (
+	"fmt"
 	"math/big"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -173,4 +175,50 @@ func TestDifferentialESeries(t *testing.T) {
 		}
 		checkInstance(t, tc.name, tc.h)
 	}
+}
+
+// TestDifferentialRandomFHW: the elimination DP's warm-LP bag pricing
+// against the sat-ord fhw search, an independent exact path with its own
+// per-bag LPs, on seeded random instances of 8–16 vertices.
+func TestDifferentialRandomFHW(t *testing.T) {
+	ran := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + 2*int(seed%5)
+		for kind, h := range []*hypergraph.Hypergraph{
+			hypergraph.RandomBIP(rng, n, n, 4, 2),
+			hypergraph.RandomBoundedDegree(rng, n, n, 4, 3),
+		} {
+			name := fmt.Sprintf("seed%d/%s/n=%d", seed, []string{"bip", "bdeg"}[kind], n)
+			want, wd := core.ExactFHW(h)
+			if isolated := h.NumVertices() - coveredCount(h); isolated > 0 {
+				if want != nil {
+					t.Fatalf("%s: %d isolated vertices, yet ExactFHW = %s", name, isolated, want.RatString())
+				}
+				continue
+			}
+			ran++
+			if want == nil {
+				t.Fatalf("%s: ExactFHW found no decomposition", name)
+			}
+			if err := wd.ValidateWidth(decomp.FHD, want); err != nil {
+				t.Fatalf("%s: ExactFHW witness: %v", name, err)
+			}
+			if got, _ := fhwDeepen(t, h); got.Cmp(want) != 0 {
+				t.Fatalf("%s: sat-ord fhw = %s, ExactFHW = %s", name, got.RatString(), want.RatString())
+			}
+		}
+	}
+	if ran < 10 {
+		t.Fatalf("only %d random instances without isolated vertices", ran)
+	}
+}
+
+// coveredCount returns how many vertices of h lie in some edge.
+func coveredCount(h *hypergraph.Hypergraph) int {
+	c := hypergraph.NewVertexSet(h.NumVertices())
+	for e := 0; e < h.NumEdges(); e++ {
+		c = c.UnionInPlace(h.Edge(e))
+	}
+	return c.Count()
 }

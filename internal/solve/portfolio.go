@@ -250,7 +250,10 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 	case FHW:
 		if nv <= exactVertexLimit {
 			strategies = append(strategies, strat{"exact-dp", func() {
-				if w, d, err := core.ExactFHWCtx(bctx, bh); err == nil && d != nil {
+				var ws lp.WarmStats
+				w, d, err := core.ExactFHWStatsCtx(bctx, bh, &ws)
+				flushLP(tr, ws)
+				if err == nil && d != nil {
 					r.offerExact(w, d, "exact-dp")
 				}
 			}})
